@@ -28,6 +28,7 @@ from .magic_square import (
     generate_doubly_even,
     magic_constant,
     scramble,
+    scramble_square,
     to_permutation,
     unscramble,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "resynthesize",
     "reverse_substitute",
     "scramble",
+    "scramble_square",
     "serialize",
     "substitute",
     "synthesize",

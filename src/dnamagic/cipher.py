@@ -18,12 +18,13 @@ Container layout (all integers little-endian):
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .dna import resynthesize, synthesize
 from .errors import BadMagic, DimensionError, TruncatedPayload, UnsupportedVersion, WrongKey
 from .imageio import PlainImage
-from .magic_square import Permutation, generate_doubly_even, scramble, to_permutation, unscramble
+from .magic_square import scramble_square
+# unused here, but perfbench/tracing.py looks these names up on this module
+from .magic_square import generate_doubly_even, scramble, to_permutation, unscramble  # noqa: F401
 from .reference import ReferenceKey
 from .substitution import PointerGrid, RandomStream, reverse_substitute, substitute
 
@@ -55,20 +56,14 @@ def _check_dimensions(width: int, height: int) -> None:
         raise DimensionError(width, height)
 
 
-@lru_cache(maxsize=16)
-def _permutation_for(order: int) -> Permutation:
-    # the square is public structure regenerated from the side length,
-    # never stored in the container and never key material
-    return to_permutation(generate_doubly_even(order))
-
-
 def encrypt(image: PlainImage, key: ReferenceKey, rng: RandomStream,
             include_fingerprint: bool = False) -> CipherImage:
     """Encrypt a square image whose side is a multiple of 4."""
     _check_dimensions(image.width, image.height)
     grid = substitute(synthesize(image), key, rng)
-    perm = _permutation_for(image.width)
-    scrambled = tuple(scramble(grid.pointers, perm))
+    # the square is public structure derived from the side length, never
+    # stored in the container and never key material
+    scrambled = tuple(scramble_square(grid.pointers, image.width))
     if include_fingerprint:
         return CipherImage(image.width, image.height, scrambled, FLAG_FINGERPRINT, key.fingerprint)
     return CipherImage(image.width, image.height, scrambled)
@@ -76,13 +71,14 @@ def encrypt(image: PlainImage, key: ReferenceKey, rng: RandomStream,
 
 def decrypt(cipher: CipherImage, key: ReferenceKey) -> PlainImage:
     """Invert encrypt; raises WrongKey when an embedded fingerprint disagrees."""
-    # dimensions are validated before any permutation is built, so a malformed
-    # header can never drive an out-of-bounds rearrangement
+    # dimensions are validated first, so a malformed header fails as a
+    # DimensionError before any cell is rearranged
     _check_dimensions(cipher.width, cipher.height)
     if cipher.flags & FLAG_FINGERPRINT and cipher.fingerprint != key.fingerprint:
         raise WrongKey(cipher.fingerprint or 0, key.fingerprint)
-    perm = _permutation_for(cipher.width)
-    grid = PointerGrid(cipher.width, cipher.height, tuple(unscramble(cipher.pointers, perm)))
+    # the scramble is its own inverse
+    grid = PointerGrid(cipher.width, cipher.height,
+                       tuple(scramble_square(cipher.pointers, cipher.width)))
     return resynthesize(reverse_substitute(grid, key))
 
 

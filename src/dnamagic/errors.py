@@ -58,6 +58,13 @@ class NotDoublyEven(DnamagicError):
         super().__init__(f"order must be a multiple of 4 and at least 4, got {order}")
 
 
+class OrderTooLarge(DnamagicError):
+    def __init__(self, order: int, limit: int):
+        self.order = order
+        self.limit = limit
+        super().__init__(f"order {order} exceeds the limit of {limit}")
+
+
 class LengthMismatch(DnamagicError):
     def __init__(self, expected: int, actual: int):
         self.expected = expected

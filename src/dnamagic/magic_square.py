@@ -3,10 +3,13 @@
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatch, NotDoublyEven
+from .errors import LengthMismatch, NotDoublyEven, OrderTooLarge
 
 # cells of each 4x4 block whose values get complemented during construction
 _INVERT = {(0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0), (3, 3)}
+
+# largest order generate_doubly_even builds; its square holds order^2 Python ints
+MAX_ORDER = 1024
 
 
 def magic_constant(n: int) -> int:
@@ -37,6 +40,8 @@ def generate_doubly_even(n: int) -> MagicSquare:
     """
     if n < 4 or n % 4 != 0:
         raise NotDoublyEven(n)
+    if n > MAX_ORDER:
+        raise OrderTooLarge(n, MAX_ORDER)
     total = n * n + 1
     rows = []
     for i in range(n):
@@ -78,3 +83,24 @@ def unscramble(grid: Sequence, perm: Permutation) -> list:
     if len(grid) != perm.size:
         raise LengthMismatch(perm.size, len(grid))
     return [grid[dst] for dst in perm.forward]
+
+
+def scramble_square(grid: Sequence, n: int) -> list:
+    """Apply the permutation of generate_doubly_even(n) without building it.
+
+    Cell k = i*n + j holds a complemented value, and so moves to n^2-1-k,
+    exactly when i % 4 and j % 4 are both or neither in {0, 3}; every other
+    cell stays put.  That set is symmetric under k -> n^2-1-k, so the map is
+    its own inverse and this one call both scrambles and unscrambles.
+    """
+    if n < 4 or n % 4 != 0:
+        raise NotDoublyEven(n)
+    if len(grid) != n * n:
+        raise LengthMismatch(n * n, len(grid))
+    out = list(grid)
+    reversed_grid = out[::-1]
+    for i in range(n):
+        row = i * n
+        for c in ((0, 3) if i % 4 in (0, 3) else (1, 2)):
+            out[row + c:row + n:4] = reversed_grid[row + c:row + n:4]
+    return out

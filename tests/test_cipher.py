@@ -12,6 +12,7 @@ from dnamagic.cipher import (
     encrypt,
     serialize,
 )
+from dnamagic.dna import synthesize
 from dnamagic.errors import (
     BadMagic,
     DimensionError,
@@ -20,9 +21,9 @@ from dnamagic.errors import (
     WrongKey,
 )
 from dnamagic.imageio import PlainImage
-from dnamagic.magic_square import generate_doubly_even, to_permutation
+from dnamagic.magic_square import generate_doubly_even, scramble, to_permutation
 from dnamagic.reference import MIN_KEY_LENGTH, NucleotideSequence, build_key
-from dnamagic.substitution import RandomStream
+from dnamagic.substitution import RandomStream, substitute
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 64])
@@ -32,6 +33,21 @@ def test_round_trip(n, random_key):
         img = random_image(rng, n)
         cip = encrypt(img, random_key, RandomStream(rng.getrandbits(64)))
         assert decrypt(cip, random_key) == img
+
+
+@pytest.mark.parametrize("fingerprint", [False, True])
+@pytest.mark.parametrize("n", [4, 8, 20, 64, 132])
+def test_encrypt_matches_reference_scramble(n, fingerprint, random_key):
+    rng = random.Random(21)
+    img = random_image(rng, n)
+    seed = rng.getrandbits(64)
+    cip = encrypt(img, random_key, RandomStream(seed), include_fingerprint=fingerprint)
+    grid = substitute(synthesize(img), random_key, RandomStream(seed))
+    expected = tuple(scramble(grid.pointers, to_permutation(generate_doubly_even(n))))
+    assert cip.pointers == expected
+    # a container built through the reference path still decrypts
+    reference = CipherImage(n, n, expected, cip.flags, cip.fingerprint)
+    assert decrypt(deserialize(serialize(reference)), random_key) == img
 
 
 def test_same_image_two_seeds_unequal_ciphertexts(random_key):

@@ -34,6 +34,13 @@ def test_magic_rejects_odd_order(capsys):
     assert "NotDoublyEven" in capsys.readouterr().err
 
 
+def test_magic_rejects_huge_order_before_building(capsys):
+    assert run(["magic", "--order", "40000"]) == 2
+    captured = capsys.readouterr()
+    assert "OrderTooLarge" in captured.err
+    assert captured.out == ""
+
+
 def test_encrypt_decrypt_round_trip_byte_exact(workdir):
     cipher_path = workdir / "sample.dmc"
     plain_path = workdir / "sample.out.pgm"

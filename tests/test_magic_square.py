@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from dnamagic.errors import LengthMismatch, NotDoublyEven
+from dnamagic.errors import LengthMismatch, NotDoublyEven, OrderTooLarge
 from dnamagic.magic_square import (
+    MAX_ORDER,
     MagicSquare,
     generate_doubly_even,
     magic_constant,
     scramble,
+    scramble_square,
     to_permutation,
     unscramble,
 )
@@ -49,6 +51,13 @@ def test_all_lines_sum_to_magic_constant(n):
 def test_rejects_orders_not_multiple_of_four(n):
     with pytest.raises(NotDoublyEven):
         generate_doubly_even(n)
+    with pytest.raises(NotDoublyEven):
+        scramble_square([], n)
+
+
+def test_rejects_orders_above_limit():
+    with pytest.raises(OrderTooLarge):
+        generate_doubly_even(MAX_ORDER + 4)
 
 
 def test_permutation_from_order_4():
@@ -60,11 +69,19 @@ def test_permutation_from_order_4():
         assert perm.forward[perm.backward[k]] == k
 
 
-@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("n", [4, 8, 12, 20, 64, 132])
 def test_permutation_is_bijective(n):
     perm = to_permutation(generate_doubly_even(n))
     assert sorted(perm.forward) == list(range(n * n))
     assert [perm.backward[d] for d in perm.forward] == list(range(n * n))
+    assert perm.forward == perm.backward
+
+
+@pytest.mark.parametrize("n", range(4, 257, 4))
+def test_closed_form_matches_reference_permutation(n):
+    perm = to_permutation(generate_doubly_even(n))
+    grid = list(range(n * n))
+    assert scramble_square(grid, n) == scramble(grid, perm) == unscramble(grid, perm)
 
 
 def test_scramble_order_4_derived_positions():
@@ -105,3 +122,7 @@ def test_length_mismatch_rejected():
         scramble([1, 2, 3], perm)
     with pytest.raises(LengthMismatch):
         unscramble(list(range(17)), perm)
+    with pytest.raises(LengthMismatch):
+        scramble_square([1, 2, 3], 4)
+    with pytest.raises(LengthMismatch):
+        scramble_square(list(range(17)), 4)
