@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import analysis, cipher, imageio, magic_square, reference
 from .dna import BYTE_TO_QUAD
-from .errors import DnamagicError
+from .errors import DnamagicError, list_quads
 from .substitution import RandomStream
 
 EXIT_OK = 0
@@ -203,9 +203,7 @@ def _cmd_keyinfo(args) -> int:
     print(f"fingerprint: 0x{reference.key_fingerprint(seq):016x}")
     if not all(covered):
         missing = [BYTE_TO_QUAD[v] for v, ok in enumerate(covered) if not ok]
-        shown = ", ".join(missing[:8])
-        more = f" (+{len(missing) - 8} more)" if len(missing) > 8 else ""
-        print(f"missing quads: {shown}{more}")
+        print(f"missing quads: {list_quads(missing)}")
         return EXIT_DATA
     return EXIT_OK
 

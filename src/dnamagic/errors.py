@@ -41,15 +41,20 @@ class SequenceTooShort(DnamagicError):
         super().__init__(f"key sequence has {actual_length} bases, need at least {required}")
 
 
+def list_quads(quads: list[str]) -> str:
+    """The first 8 quads, comma-separated, then "(+N more)" if any are left."""
+    return ", ".join(quads[:8]) + (f" (+{len(quads) - 8} more)" if len(quads) > 8 else "")
+
+
 class QuadCoverageError(DnamagicError):
     """The key sequence never contains some 4-base words, so it cannot encrypt
     every possible pixel value."""
 
     def __init__(self, missing: list[str]):
         self.missing = list(missing)
-        shown = ", ".join(self.missing[:8])
-        more = f" (+{len(self.missing) - 8} more)" if len(self.missing) > 8 else ""
-        super().__init__(f"{len(self.missing)} quads never occur in the key window: {shown}{more}")
+        super().__init__(
+            f"{len(self.missing)} quads never occur in the key window: {list_quads(self.missing)}"
+        )
 
 
 class NotDoublyEven(DnamagicError):

@@ -51,11 +51,18 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, pos = _next_token(data, pos)
+def _to_int(token: bytes, what: str) -> int:
     if not token.isdigit():
         raise MalformedHeader(f"expected integer {what}, got {token!r}")
-    return int(token), pos
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise MalformedHeader(f"{what} has too many digits ({len(token)})") from None
+
+
+def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    token, pos = _next_token(data, pos)
+    return _to_int(token, what), pos
 
 
 def read_pgm(data: bytes) -> PlainImage:
@@ -93,9 +100,7 @@ def read_pgm(data: bytes) -> PlainImage:
             token, pos = _next_token(data, pos)
         except MalformedHeader:
             raise TruncatedPayload(count, len(pixels)) from None
-        if not token.isdigit():
-            raise MalformedHeader(f"bad sample value {token!r}")
-        value = int(token)
+        value = _to_int(token, "sample value")
         if value > maxval:
             raise MalformedHeader(f"sample value {value} exceeds maxval {maxval}")
         pixels.append(value)

@@ -8,6 +8,7 @@ spare).  Bases past position 65539 never influence encryption or the
 fingerprint.
 """
 
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -21,6 +22,10 @@ MIN_KEY_LENGTH = WINDOW_STARTS + 4
 FNV_OFFSET_BASIS = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+
+# re's \s is exactly str.isspace, and only ACGTacgt upper-case into ACGT
+_INVALID_SYMBOL = re.compile(r"[^\sACGTacgt]")
+_NON_BASES = re.compile(r"[^ACGTacgt]+")
 
 
 class SingleOccurrenceWarning(UserWarning):
@@ -64,47 +69,32 @@ class ReferenceKey:
 def parse_fasta(data: bytes | str, mode: str = "strict") -> NucleotideSequence:
     """Concatenate the bases of every record in a FASTA stream.
 
-    Lines starting with '>' are headers; the first header names the result.
-    Whitespace is dropped and lower-case bases are upper-cased.  In "strict"
-    mode any other symbol raises InvalidSymbol carrying its byte offset in the
-    input; "sanitize" mode drops such symbols silently.
+    Only LF ends a line; a line starting with '>' is a header, and the first
+    non-empty header names the result.  Whitespace (str.isspace) is dropped
+    and lower-case bases are upper-cased.  In "strict" mode any other symbol
+    raises InvalidSymbol carrying its offset in the input (in characters for
+    str); "sanitize" mode drops such symbols silently.
     """
     if mode not in ("strict", "sanitize"):
         raise ValueError(f"unknown mode {mode!r}")
     text = data.decode("latin-1") if isinstance(data, (bytes, bytearray)) else data
 
-    out: list[str] = []
     name = ""
-    header_chars: list[str] = []
-    in_header = False
-    at_line_start = True
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            if in_header and not name:
-                name = "".join(header_chars).strip()
-            in_header = False
-            at_line_start = True
-            continue
-        if at_line_start and ch == ">":
-            in_header = True
-            header_chars = []
-            at_line_start = False
-            continue
-        at_line_start = False
-        if in_header:
-            header_chars.append(ch)
-        elif ch.isspace():
-            continue
-        elif ch.upper() in "ACGT":
-            out.append(ch.upper())
-        elif mode == "strict":
-            raise InvalidSymbol(i, ch)
-    if in_header and not name:
-        name = "".join(header_chars).strip()
+    body: list[str] = []
+    offset = 0
+    for line in text.split("\n"):
+        if line.startswith(">"):
+            name = name or line[1:].strip()
+        elif mode == "strict" and (bad := _INVALID_SYMBOL.search(line)):
+            raise InvalidSymbol(offset + bad.start(), bad.group())
+        else:
+            body.append(line)
+        offset += len(line) + 1
 
-    if not out:
+    bases = _NON_BASES.sub("", "".join(body)).upper()
+    if not bases:
         raise EmptySequence()
-    return NucleotideSequence("".join(out), source_name=name)
+    return NucleotideSequence(bases, source_name=name)
 
 
 def fnv1a_64(data: bytes) -> int:

@@ -1,0 +1,92 @@
+"""Differential test: parse_fasta against a frozen character-at-a-time parser.
+
+`oracle_parse_fasta` is the original per-character state machine, kept
+verbatim as the reference for the FASTA rules.  The two parsers must agree
+on the bases and the record name, or on the type, offset and symbol of the
+error, for bytes and str inputs in both modes.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dnamagic.errors import EmptySequence, InvalidSymbol
+from dnamagic.reference import NucleotideSequence, parse_fasta
+
+
+def oracle_parse_fasta(data: bytes | str, mode: str = "strict") -> NucleotideSequence:
+    if mode not in ("strict", "sanitize"):
+        raise ValueError(f"unknown mode {mode!r}")
+    text = data.decode("latin-1") if isinstance(data, (bytes, bytearray)) else data
+
+    out: list[str] = []
+    name = ""
+    header_chars: list[str] = []
+    in_header = False
+    at_line_start = True
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            if in_header and not name:
+                name = "".join(header_chars).strip()
+            in_header = False
+            at_line_start = True
+            continue
+        if at_line_start and ch == ">":
+            in_header = True
+            header_chars = []
+            at_line_start = False
+            continue
+        at_line_start = False
+        if in_header:
+            header_chars.append(ch)
+        elif ch.isspace():
+            continue
+        elif ch.upper() in "ACGT":
+            out.append(ch.upper())
+        elif mode == "strict":
+            raise InvalidSymbol(i, ch)
+    if in_header and not name:
+        name = "".join(header_chars).strip()
+
+    if not out:
+        raise EmptySequence()
+    return NucleotideSequence("".join(out), source_name=name)
+
+
+def outcome(parse, data, mode):
+    try:
+        seq = parse(data, mode)
+    except InvalidSymbol as exc:
+        return ("InvalidSymbol", exc.position, exc.char)
+    except EmptySequence:
+        return ("EmptySequence",)
+    return (seq.bases, seq.source_name)
+
+
+# Single symbols and short runs that exercise every rule: bases of both cases,
+# N gaps, headers, CR/LF mixes, ASCII and Unicode whitespace (\x1c, \x85 and
+# \xa0 are str.isspace), and punctuation.
+LATIN1_PIECES = [
+    "A", "C", "G", "T", "a", "c", "g", "t", "ACGT", "acgtn", "N", "n", "NNNN",
+    ">", ">name", "> spaced name ", "\n", "\n>", "\r", "\r\n", "\n\n",
+    " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+    "-", "*", ".", "1", "U", "x", "\x00", "\xdf", "\xe4", "\xff",
+]
+# Characters outside latin-1, reachable only through str input: Unicode
+# whitespace, letters whose case mapping is special, and astral symbols.
+WIDE_PIECES = ["\u2028", "\u3000", "\u0131", "\u017f", "\u212a", "\ufb00", "\u03a9", "\U0001f600"]
+
+latin1_text = st.lists(st.sampled_from(LATIN1_PIECES), max_size=40).map("".join)
+wide_text = st.lists(st.sampled_from(LATIN1_PIECES + WIDE_PIECES), max_size=40).map("".join)
+inputs = st.one_of(
+    latin1_text.map(lambda text: text.encode("latin-1")),
+    st.binary(max_size=60),
+    wide_text,
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=inputs, mode=st.sampled_from(["strict", "sanitize"]))
+def test_parse_fasta_matches_frozen_oracle(data, mode):
+    assert outcome(parse_fasta, data, mode) == outcome(oracle_parse_fasta, data, mode)
+

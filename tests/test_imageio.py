@@ -56,6 +56,16 @@ def test_non_integer_header_token_rejected():
         read_pgm(b"P5 one 1 255 \x00")
 
 
+@pytest.mark.parametrize("data", [
+    b"P5 " + b"1" * 5000 + b" 4 255\n",
+    b"P5 4 4 " + b"2" * 5000 + b"\n",
+    b"P2 1 1 255 " + b"3" * 5000 + b"\n",
+], ids=["width", "maxval", "p2-sample"])
+def test_integer_longer_than_int_limit_is_malformed(data):
+    with pytest.raises(MalformedHeader):
+        read_pgm(data)
+
+
 def test_zero_dimensions_rejected():
     with pytest.raises(MalformedHeader):
         read_pgm(b"P5 0 1 255 ")

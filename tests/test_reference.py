@@ -68,6 +68,29 @@ def test_empty_input_raises():
         parse_fasta(b"")
 
 
+def test_empty_first_header_lets_a_later_header_name_the_key():
+    seq = parse_fasta(b">\nAC\n>  \nGT\n> second \nAA\n>third\n")
+    assert seq.bases == "ACGTAA"
+    assert seq.source_name == "second"
+
+
+def test_header_marker_after_column_zero_is_invalid():
+    with pytest.raises(InvalidSymbol) as exc:
+        parse_fasta(b">h\nAC >x\n")
+    assert (exc.value.position, exc.value.char) == (6, ">")
+    assert parse_fasta(b">h\nAC >x\n", mode="sanitize").bases == "AC"
+
+
+def test_str_input_reports_character_offsets():
+    with pytest.raises(InvalidSymbol) as exc:
+        parse_fasta(">\u00e9\u4e2d\nAC\u3000GTx\n")
+    assert (exc.value.position, exc.value.char) == (9, "x")  # its UTF-8 byte offset is 14
+
+
+def test_unicode_whitespace_inside_sequence_lines_is_dropped():
+    assert parse_fasta(b">h\nAC\x85GT\xa0AC\x1cGT\n").bases == "ACGTACGT"
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         parse_fasta(b"ACGT", mode="lenient")
@@ -138,6 +161,8 @@ def test_cycling_sequence_fails_coverage():
     ) - present)
     assert sorted(exc.value.missing) == expected_missing
     assert "AAAA" in exc.value.missing
+    assert str(exc.value) == ("252 quads never occur in the key window: "
+                              "CCCC, CCCT, CCCA, CCCG, CCTC, CCTT, CCTA, CCTG (+244 more)")
 
 
 def test_random_sequences_build_with_comfortable_multiplicity():
