@@ -141,6 +141,16 @@ def evaluate_attack(candidate: Sequence[int], truth: Sequence[int]) -> AttackRep
     return AttackReport(bytes(candidate), fraction, "success" if fraction == 1.0 else "failure")
 
 
+def _cells_changed_by_bump(image: PlainImage, key: ReferenceKey, index: int,
+                           original_rng: RandomStream, bumped_rng: RandomStream) -> int:
+    """Cells changed by bumping pixel `index` by 1 (mod 256) and re-encrypting."""
+    bumped = bytearray(image.pixels)
+    bumped[index] = (bumped[index] + 1) % 256
+    c1 = encrypt(image, key, original_rng)
+    c2 = encrypt(PlainImage(image.width, image.height, bytes(bumped)), key, bumped_rng)
+    return sum(1 for a, b in zip(c1.pointers, c2.pointers) if a != b)
+
+
 def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
                              rng: RandomStream) -> float:
     """Mean fraction of cipher cells changed by bumping one random pixel by 1
@@ -151,13 +161,8 @@ def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
     n = image.width * image.height
     total = 0.0
     for _ in range(trials):
-        idx = rng.randbelow(n)
-        bumped = bytearray(image.pixels)
-        bumped[idx] = (bumped[idx] + 1) % 256
-        modified = PlainImage(image.width, image.height, bytes(bumped))
-        c1 = encrypt(image, key, RandomStream(rng.next64()))
-        c2 = encrypt(modified, key, RandomStream(rng.next64()))
-        total += sum(1 for a, b in zip(c1.pointers, c2.pointers) if a != b) / n
+        total += _cells_changed_by_bump(image, key, rng.randbelow(n), RandomStream(rng.next64()),
+                                        RandomStream(rng.next64())) / n
     return total / trials
 
 
@@ -168,9 +173,4 @@ def differential_paired_seed(image: PlainImage, key: ReferenceKey, seed: int,
     With lockstep draws only the bumped pixel's cell can change, which
     exposes the scheme's true per-pixel diffusion.
     """
-    bumped = bytearray(image.pixels)
-    bumped[pixel_index] = (bumped[pixel_index] + 1) % 256
-    modified = PlainImage(image.width, image.height, bytes(bumped))
-    c1 = encrypt(image, key, RandomStream(seed))
-    c2 = encrypt(modified, key, RandomStream(seed))
-    return sum(1 for a, b in zip(c1.pointers, c2.pointers) if a != b)
+    return _cells_changed_by_bump(image, key, pixel_index, RandomStream(seed), RandomStream(seed))

@@ -1,6 +1,6 @@
 """Encryption and decryption pipelines plus the DMC1 ciphertext container.
 
-Encrypt: pixels -> four-base words -> key positions -> magic-square scramble.
+Encrypt: pixels -> key positions of their words -> magic-square scramble.
 Decrypt runs the exact inverse and is a pure function of (container, key).
 Ciphertext keeps the plaintext's spatial dimensions; each cell widens from
 8 to 16 bits so pointers into the key window stay unambiguous.
@@ -19,11 +19,11 @@ Container layout (all integers little-endian):
 import struct
 from dataclasses import dataclass
 
-from .dna import resynthesize, synthesize
 from .errors import BadMagic, DimensionError, TruncatedPayload, UnsupportedVersion, WrongKey
 from .imageio import PlainImage
 from .magic_square import scramble_square
 # unused here, but perfbench/tracing.py looks these names up on this module
+from .dna import resynthesize, synthesize  # noqa: F401
 from .magic_square import generate_doubly_even, scramble, to_permutation, unscramble  # noqa: F401
 from .reference import ReferenceKey
 from .substitution import PointerGrid, RandomStream, reverse_substitute, substitute
@@ -60,10 +60,9 @@ def encrypt(image: PlainImage, key: ReferenceKey, rng: RandomStream,
             include_fingerprint: bool = False) -> CipherImage:
     """Encrypt a square image whose side is a multiple of 4."""
     _check_dimensions(image.width, image.height)
-    grid = substitute(synthesize(image), key, rng)
     # the square is public structure derived from the side length, never
     # stored in the container and never key material
-    scrambled = tuple(scramble_square(grid.pointers, image.width))
+    scrambled = tuple(scramble_square(substitute(image, key, rng).pointers, image.width))
     if include_fingerprint:
         return CipherImage(image.width, image.height, scrambled, FLAG_FINGERPRINT, key.fingerprint)
     return CipherImage(image.width, image.height, scrambled)
@@ -79,7 +78,7 @@ def decrypt(cipher: CipherImage, key: ReferenceKey) -> PlainImage:
     # the scramble is its own inverse
     grid = PointerGrid(cipher.width, cipher.height,
                        tuple(scramble_square(cipher.pointers, cipher.width)))
-    return resynthesize(reverse_substitute(grid, key))
+    return reverse_substitute(grid, key)
 
 
 def serialize(cipher: CipherImage) -> bytes:

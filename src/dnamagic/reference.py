@@ -26,6 +26,7 @@ _MASK64 = (1 << 64) - 1
 # re's \s is exactly str.isspace, and only ACGTacgt upper-case into ACGT
 _INVALID_SYMBOL = re.compile(r"[^\sACGTacgt]")
 _NON_BASES = re.compile(r"[^ACGTacgt]+")
+_NON_ACGT = re.compile(r"[^ACGT]")
 
 
 class SingleOccurrenceWarning(UserWarning):
@@ -41,7 +42,7 @@ class NucleotideSequence:
     source_name: str = ""
 
     def __post_init__(self):
-        if not set(self.bases) <= set("ACGT"):
+        if _NON_ACGT.search(self.bases):
             bad = sorted(set(self.bases) - set("ACGT"))
             raise ValueError(f"sequence contains symbols outside ACGT: {bad}")
 
@@ -56,7 +57,6 @@ class KmerIndex:
 
     occurrences: tuple[tuple[int, ...], ...]
     min_multiplicity: int
-    window_starts: int = WINDOW_STARTS
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ pointed-to position inverts it for any choice of randomness.
 import secrets
 from dataclasses import dataclass
 
-from .dna import DnaImage, QUAD_TO_BYTE
+from .dna import BYTE_TO_QUAD, QUAD_TO_BYTE
 from .errors import PointerOutOfRange, QuadNotCovered
+from .imageio import PlainImage
 from .reference import ReferenceKey, WINDOW_STARTS
 
 _MASK64 = (1 << 64) - 1
@@ -64,30 +65,29 @@ class PointerGrid:
             )
 
 
-def substitute(dna: DnaImage, key: ReferenceKey, rng: RandomStream) -> PointerGrid:
-    """Replace every word with one of its key positions, drawn uniformly.
+def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> PointerGrid:
+    """Replace every pixel with one of its word's key positions, drawn uniformly.
 
     Consumes exactly one draw per cell, in row-major order, so identical
-    (dna, key, seed) triples produce identical grids.
+    (image, key, seed) triples produce identical grids.
     """
     occurrences = key.index.occurrences
     pointers = []
-    for quad in dna.quads:
-        options = occurrences[QUAD_TO_BYTE[quad]]
+    for value in image.pixels:
+        options = occurrences[value]
         if not options:
             # unreachable for keys produced by build_key, which enforces coverage
-            raise QuadNotCovered(quad)
+            raise QuadNotCovered(BYTE_TO_QUAD[value])
         pointers.append(options[rng.randbelow(len(options))])
-    return PointerGrid(dna.width, dna.height, tuple(pointers))
+    return PointerGrid(image.width, image.height, tuple(pointers))
 
 
-def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> DnaImage:
-    """Read the word at each pointed-to position; inverts substitute for any
-    randomness."""
+def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:
+    """Read back the pixel whose word each pointer names; inverts substitute for any randomness."""
     bases = key.sequence.bases
-    quads = []
+    pixels = bytearray()
     for i, p in enumerate(grid.pointers):
         if not 0 <= p < WINDOW_STARTS:
             raise PointerOutOfRange(i, p)
-        quads.append(bases[p:p + 4])
-    return DnaImage(grid.width, grid.height, tuple(quads))
+        pixels.append(QUAD_TO_BYTE[bases[p:p + 4]])
+    return PlainImage(grid.width, grid.height, bytes(pixels))

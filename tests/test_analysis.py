@@ -21,6 +21,7 @@ from dnamagic.analysis import (
 from dnamagic.cipher import encrypt
 from dnamagic.errors import LengthMismatch, ZeroVariance
 from dnamagic.imageio import PlainImage
+from dnamagic.reference import KmerIndex, NucleotideSequence, ReferenceKey
 from dnamagic.substitution import RandomStream
 
 
@@ -228,6 +229,24 @@ def test_fresh_randomness_changes_nearly_all_cells(random_key):
     img = random_image(rng, 16)
     rate = differential_sensitivity(img, random_key, 4, RandomStream(31337))
     assert rate >= 0.95
+
+
+def test_sensitivity_draws_index_then_original_seed_then_bumped_seed():
+    # two key positions per value, so a cell keeps its pointer with odds 1/2
+    # and the changed-cell count depends on which seed encrypts which image
+    occurrences = tuple((2 * v, 2 * v + 1) for v in range(256))
+    key = ReferenceKey(NucleotideSequence("A" * 8), KmerIndex(occurrences, 2), 0)
+    img = random_image(random.Random(32), 8)
+    rng = RandomStream(2024)
+    expected = 0.0
+    for _ in range(3):
+        idx = rng.randbelow(64)
+        bumped = bytearray(img.pixels)
+        bumped[idx] = (bumped[idx] + 1) % 256
+        c1 = encrypt(img, key, RandomStream(rng.next64()))
+        c2 = encrypt(PlainImage(8, 8, bytes(bumped)), key, RandomStream(rng.next64()))
+        expected += sum(1 for a, b in zip(c1.pointers, c2.pointers) if a != b) / 64
+    assert differential_sensitivity(img, key, 3, RandomStream(2024)) == expected / 3
 
 
 def test_paired_seed_changes_exactly_one_cell(random_key):

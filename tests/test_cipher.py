@@ -12,7 +12,6 @@ from dnamagic.cipher import (
     encrypt,
     serialize,
 )
-from dnamagic.dna import synthesize
 from dnamagic.errors import (
     BadMagic,
     DimensionError,
@@ -42,7 +41,7 @@ def test_encrypt_matches_reference_scramble(n, fingerprint, random_key):
     img = random_image(rng, n)
     seed = rng.getrandbits(64)
     cip = encrypt(img, random_key, RandomStream(seed), include_fingerprint=fingerprint)
-    grid = substitute(synthesize(img), random_key, RandomStream(seed))
+    grid = substitute(img, random_key, RandomStream(seed))
     expected = tuple(scramble(grid.pointers, to_permutation(generate_doubly_even(n))))
     assert cip.pointers == expected
     # a container built through the reference path still decrypts

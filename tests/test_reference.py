@@ -1,6 +1,7 @@
 """FASTA parsing, 4-mer indexing, and key fingerprinting."""
 
 import random
+import re
 
 import pytest
 
@@ -107,6 +108,10 @@ def test_parse_is_idempotent_on_clean_sequences():
 def test_sequence_type_rejects_non_acgt():
     with pytest.raises(ValueError):
         NucleotideSequence("ACGU")
+    # the message lists every offending symbol once, sorted
+    with pytest.raises(ValueError, match=re.escape("outside ACGT: ['N', 'U', 'a']")):
+        NucleotideSequence("ACGTUaNNU")
+    assert NucleotideSequence("").bases == ""
 
 
 # ---- fingerprint ----

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import random_image
-from dnamagic.dna import synthesize
+from dnamagic.dna import BYTE_TO_QUAD
 from dnamagic.errors import PointerOutOfRange, QuadNotCovered
 from dnamagic.imageio import PlainImage
 from dnamagic.reference import KmerIndex, NucleotideSequence, ReferenceKey, WINDOW_STARTS
@@ -94,42 +94,41 @@ def _stub_key(occurrences_override=None, bases=None) -> ReferenceKey:
 def test_every_pointer_decodes_to_its_source_quad(random_key):
     rng = random.Random(11)
     img = random_image(rng, 16)
-    dna = synthesize(img)
-    grid = substitute(dna, random_key, RandomStream(77))
+    grid = substitute(img, random_key, RandomStream(77))
     bases = random_key.sequence.bases
-    for quad, p in zip(dna.quads, grid.pointers):
-        assert bases[p:p + 4] == quad
+    for v, p in zip(img.pixels, grid.pointers):
+        assert bases[p:p + 4] == BYTE_TO_QUAD[v]
 
 
 def test_singleton_occurrence_forces_the_pointer():
     key = _stub_key({0: (7,)})  # quad CCCC only at position 7
-    dna = synthesize(PlainImage(1, 1, bytes([0])))
+    img = PlainImage(1, 1, bytes([0]))
     for seed in range(30):
-        assert substitute(dna, key, RandomStream(seed)).pointers == (7,)
+        assert substitute(img, key, RandomStream(seed)).pointers == (7,)
 
 
 def test_missing_quad_raises_defensively():
     key = _stub_key({0: ()})
-    dna = synthesize(PlainImage(1, 1, bytes([0])))
-    with pytest.raises(QuadNotCovered):
-        substitute(dna, key, RandomStream(1))
+    img = PlainImage(1, 1, bytes([0]))
+    with pytest.raises(QuadNotCovered) as exc:
+        substitute(img, key, RandomStream(1))
+    assert exc.value.quad == "CCCC"
 
 
 def test_identical_inputs_identical_grids(random_key):
     rng = random.Random(12)
-    dna = synthesize(random_image(rng, 8))
-    a = substitute(dna, random_key, RandomStream(1234))
-    b = substitute(dna, random_key, RandomStream(1234))
+    img = random_image(rng, 8)
+    a = substitute(img, random_key, RandomStream(1234))
+    b = substitute(img, random_key, RandomStream(1234))
     assert a == b
 
 
 def test_distinct_seeds_change_most_cells(random_key):
     rng = random.Random(13)
     img = random_image(rng, 64)
-    dna = synthesize(img)
     for trial in range(10):
-        a = substitute(dna, random_key, RandomStream(rng.getrandbits(64)))
-        b = substitute(dna, random_key, RandomStream(rng.getrandbits(64)))
+        a = substitute(img, random_key, RandomStream(rng.getrandbits(64)))
+        b = substitute(img, random_key, RandomStream(rng.getrandbits(64)))
         differing = sum(1 for x, y in zip(a.pointers, b.pointers) if x != y)
         assert differing / len(a.pointers) >= 0.90
 
@@ -140,12 +139,12 @@ def test_draws_are_uniform_over_occurrences(random_key):
     value = 137
     options = random_key.index.occurrences[value]
     m = len(options)
-    dna = synthesize(PlainImage(1, 1, bytes([value])))
+    img = PlainImage(1, 1, bytes([value]))
     counts = {p: 0 for p in options}
     stream = RandomStream(987654321)
     draws = 10000
     for _ in range(draws):
-        grid = substitute(dna, random_key, stream)
+        grid = substitute(img, random_key, stream)
         counts[grid.pointers[0]] += 1
     p = 1 / m
     tolerance = 5 * math.sqrt(p * (1 - p) / draws)
@@ -156,18 +155,17 @@ def test_draws_are_uniform_over_occurrences(random_key):
 def test_round_trip_any_seed(random_key):
     rng = random.Random(14)
     for _ in range(50):
-        dna = synthesize(random_image(rng, 8))
-        grid = substitute(dna, random_key, RandomStream(rng.getrandbits(64)))
-        assert reverse_substitute(grid, random_key) == dna
+        img = random_image(rng, 8)
+        grid = substitute(img, random_key, RandomStream(rng.getrandbits(64)))
+        assert reverse_substitute(grid, random_key) == img
 
 
 def test_pointer_zero_reads_the_leading_quad():
     key = _stub_key(bases="GATC" + "A" * WINDOW_STARTS)
     grid = PointerGrid(1, 1, (0,))
-    dna = reverse_substitute(grid, key)
-    assert dna.quads == ("GATC",)
-    from dnamagic.dna import decode_quad
-    assert decode_quad(dna.quads[0]) == 228
+    img = reverse_substitute(grid, key)
+    assert img == PlainImage(1, 1, bytes([228]))
+    assert BYTE_TO_QUAD[img.pixels[0]] == "GATC"
 
 
 def test_pointer_out_of_range_rejected(random_key):
