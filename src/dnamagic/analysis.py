@@ -107,8 +107,8 @@ def adjacent_correlation(cells: Sequence[int], width: int, height: int, directio
         rng = RandomStream()
     xs = []
     ys = []
-    for _ in range(sample_n):
-        r, c = divmod(rng.randbelow(rows * cols), cols)
+    for z in rng.outputs(sample_n):
+        r, c = divmod(z % (rows * cols), cols)
         xs.append(cells[r * width + c])
         ys.append(cells[(r + dr) * width + (c + dc)])
     return CorrelationReport(direction, sample_n, pearson(xs, ys))

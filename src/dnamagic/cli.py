@@ -19,6 +19,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
+# analyze keeps sample_n pairs per direction in memory and encrypts the image
+# twice per trial, so both are bounded to keep every run finite and small
+MAX_SAMPLE_N = 1 << 20
+MAX_TRIALS = 1000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -35,6 +40,19 @@ def _seed_value(text: str) -> int:
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return value
+
+
+def _int_in(low: int, high: int):
+    """argparse type for a decimal integer in [low, high]."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be between {low} and {high}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,14 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plain", required=True, help="plaintext PGM file")
     p.add_argument("--cipher", required=True, help="ciphertext DMC1 file")
     p.add_argument("--csv", default=None, help="also write metric,direction,value rows here")
-    p.add_argument("--sample-n", type=int, default=analysis.DEFAULT_SAMPLE_PAIRS,
-                   help="adjacent pairs sampled per direction (default: %(default)s)")
+    p.add_argument("--sample-n", type=_int_in(2, MAX_SAMPLE_N),
+                   default=analysis.DEFAULT_SAMPLE_PAIRS,
+                   help=f"adjacent pairs sampled per direction, 2 to {MAX_SAMPLE_N} "
+                        "(default: %(default)s)")
     p.add_argument("--seed", type=_seed_value, default=None,
                    help="sampling seed; omitted: OS entropy, echoed to stderr")
     p.add_argument("--key", default=None,
                    help="key FASTA file; enables the differential sensitivity metrics")
-    p.add_argument("--trials", type=int, default=10,
-                   help="differential trials when --key is given (default: %(default)s)")
+    p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=10,
+                   help=f"differential trials when --key is given, 1 to {MAX_TRIALS} "
+                        "(default: %(default)s)")
     add_mode(p)
 
     p = sub.add_parser("attack",

@@ -4,17 +4,39 @@ pointed-to position inverts it for any choice of randomness.
 """
 
 import secrets
+import sys
+from array import array
 from dataclasses import dataclass
 
-from .dna import BYTE_TO_QUAD, QUAD_TO_BYTE
-from .errors import PointerOutOfRange, QuadNotCovered
+from .dna import BYTE_TO_QUAD, NUCLEOTIDES
+from .errors import PointerOutOfRange, QuadNotCovered, SequenceTooShort
 from .imageio import PlainImage
-from .reference import ReferenceKey, WINDOW_STARTS
+from .reference import MIN_KEY_LENGTH, ReferenceKey, WINDOW_STARTS
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4B7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# outputs() computes a block of draws in one int, one 128-bit lane per draw:
+# a lane holds a 64-bit value, so a product by a 64-bit constant still fits
+# in it and never carries into the next lane
+_BLOCK = 4096
+_LANE_BITS = 128
+
+
+def _counting_lanes() -> int:
+    """One int holding k + 1 in lane k (bits 128k..128k+63), for k < _BLOCK."""
+    words = array("Q", bytes(_LANE_BITS // 8 * _BLOCK))
+    words[::2] = array("Q", range(1, _BLOCK + 1))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")  # 1 in every lane
+_LOW64 = _ONES * _MASK64
+_STEPS = (_counting_lanes() * _GAMMA) & _LOW64  # lane k: (k+1)*gamma mod 2**64
 
 
 class RandomStream:
@@ -43,6 +65,31 @@ class RandomStream:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
+    def outputs(self, n: int) -> array:
+        """The next n raw outputs, the same values as n next64() calls.
+
+        Output k depends only on the state and k, so each block of up to
+        4096 outputs is computed at once in 128-bit lanes of one int.
+        """
+        out = array("Q")
+        state = self._state
+        for start in range(0, n, _BLOCK):
+            m = min(_BLOCK, n - start)
+            keep = (1 << (_LANE_BITS * m)) - 1
+            low = _LOW64 & keep
+            z = ((_STEPS & keep) + state * (_ONES & keep)) & low
+            # every lane is masked before each shift or product, so bits
+            # shifted in from the next lane are dropped
+            z = (((z ^ (z >> 30)) & low) * _MIX1) & low
+            z = (((z ^ (z >> 27)) & low) * _MIX2) & low
+            words = array("Q", ((z ^ (z >> 31)) & low).to_bytes(_LANE_BITS // 8 * m, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            out.extend(words[::2])
+            state = (state + m * _GAMMA) & _MASK64
+        self._state = state
+        return out
+
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n < 1:
@@ -69,25 +116,44 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
     """Replace every pixel with one of its word's key positions, drawn uniformly.
 
     Consumes exactly one draw per cell, in row-major order, so identical
-    (image, key, seed) triples produce identical grids.
+    (image, key, seed) triples produce identical grids.  Draw z picks
+    options[z % len(options)], which is what rng.randbelow(len(options)) gives.
     """
     occurrences = key.index.occurrences
-    pointers = []
-    for value in image.pixels:
-        options = occurrences[value]
-        if not options:
-            # unreachable for keys produced by build_key, which enforces coverage
-            raise QuadNotCovered(BYTE_TO_QUAD[value])
-        pointers.append(options[rng.randbelow(len(options))])
+    pixels = image.pixels
+    # unreachable for keys produced by build_key, which enforces coverage
+    uncovered = [value for value in set(pixels) if not occurrences[value]]
+    if uncovered:
+        first = min(pixels.index(value) for value in uncovered)
+        rng.outputs(first)  # the cells before it still draw
+        raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
+    counts = [len(options) for options in occurrences]
+    pointers = [occurrences[value][z % counts[value]]
+                for value, z in zip(pixels, rng.outputs(len(pixels)))]
     return PointerGrid(image.width, image.height, tuple(pointers))
+
+
+_BASE_CODES = bytes.maketrans(NUCLEOTIDES.encode("ascii"), bytes(range(4)))
+
+
+def _pixel_table(bases: str) -> bytes:
+    """The pixel value whose word starts at each of the window's positions."""
+    if len(bases) < MIN_KEY_LENGTH:
+        raise SequenceTooShort(len(bases), MIN_KEY_LENGTH)
+    codes = bases[:WINDOW_STARTS + 3].encode("ascii").translate(_BASE_CODES)
+    # one byte lane per position; the 2-bit codes of a word's four bases
+    # land in disjoint bits of its lane, so the ORs never carry
+    table = 0
+    for offset, shift in enumerate((6, 4, 2, 0)):
+        table |= int.from_bytes(codes[offset:offset + WINDOW_STARTS], "big") << shift
+    return table.to_bytes(WINDOW_STARTS, "big")
 
 
 def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:
     """Read back the pixel whose word each pointer names; inverts substitute for any randomness."""
-    bases = key.sequence.bases
-    pixels = bytearray()
-    for i, p in enumerate(grid.pointers):
-        if not 0 <= p < WINDOW_STARTS:
-            raise PointerOutOfRange(i, p)
-        pixels.append(QUAD_TO_BYTE[bases[p:p + 4]])
-    return PlainImage(grid.width, grid.height, bytes(pixels))
+    pointers = grid.pointers
+    if pointers and (min(pointers) < 0 or max(pointers) >= WINDOW_STARTS):
+        index = next(i for i, p in enumerate(pointers) if not 0 <= p < WINDOW_STARTS)
+        raise PointerOutOfRange(index, pointers[index])
+    table = _pixel_table(key.sequence.bases)
+    return PlainImage(grid.width, grid.height, bytes(map(table.__getitem__, pointers)))

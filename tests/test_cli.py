@@ -134,6 +134,42 @@ def test_analyze_with_key_adds_differential_metrics(workdir, capsys):
     assert "paired_seed_changed_cells: 1.000000" in out
 
 
+def test_analyze_with_key_output_is_pinned(workdir, tmp_path, capsys):
+    # recorded before the correlation anchors were drawn as one block of
+    # stream outputs; the block draws must give the same anchors
+    plain_path = tmp_path / "plain64.pgm"
+    plain_path.write_bytes(write_pgm(random_image(random.Random(64), 64)))
+    cipher_path = tmp_path / "plain64.dmc"
+    key = str(workdir / "key.fasta")
+    assert run(["encrypt", "--in", str(plain_path), "--key", key,
+                "--out", str(cipher_path), "--seed", "3"]) == 0
+    assert run(["analyze", "--plain", str(plain_path), "--cipher", str(cipher_path),
+                "--key", key, "--trials", "10", "--seed", "9"]) == 0
+    assert capsys.readouterr().out == (
+        "plain_correlation[horizontal]: -0.025346\n"
+        "plain_correlation[vertical]: -0.020103\n"
+        "plain_correlation[diagonal]: -0.011611\n"
+        "cipher_correlation[horizontal]: -0.022642\n"
+        "cipher_correlation[vertical]: -0.019245\n"
+        "cipher_correlation[diagonal]: -0.029169\n"
+        "plain_histogram_chi2: 215.250000\n"
+        "cipher_histogram_chi2: 241.125000\n"
+        "differential_change_rate: 0.996045\n"
+        "paired_seed_changed_cells: 1.000000\n"
+    )
+
+
+@pytest.mark.parametrize("flag,value", [("--sample-n", "1"), ("--sample-n", "1048577"),
+                                        ("--trials", "0"), ("--trials", "1001")])
+def test_analyze_bounds_sample_n_and_trials(workdir, flag, value, capsys):
+    # rejected by the parser, before any file is read or memory allocated
+    assert run(["analyze", "--plain", str(workdir / "sample.pgm"), "--cipher", "missing.dmc",
+                "--key", str(workdir / "key.fasta"), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dnamagic analyze")
+    assert f"argument {flag}: must be between" in err
+
+
 def test_attack_reports_failure_against_real_ciphertexts(workdir, tmp_path, capsys):
     rng = random.Random(33)
     target_pgm = tmp_path / "target.pgm"

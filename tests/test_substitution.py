@@ -7,9 +7,15 @@ import pytest
 
 from conftest import random_image
 from dnamagic.dna import BYTE_TO_QUAD
-from dnamagic.errors import PointerOutOfRange, QuadNotCovered
+from dnamagic.errors import PointerOutOfRange, QuadNotCovered, SequenceTooShort
 from dnamagic.imageio import PlainImage
-from dnamagic.reference import KmerIndex, NucleotideSequence, ReferenceKey, WINDOW_STARTS
+from dnamagic.reference import (
+    MIN_KEY_LENGTH,
+    KmerIndex,
+    NucleotideSequence,
+    ReferenceKey,
+    WINDOW_STARTS,
+)
 from dnamagic.substitution import (
     PointerGrid,
     RandomStream,
@@ -173,6 +179,17 @@ def test_pointer_out_of_range_rejected(random_key):
         reverse_substitute(PointerGrid(2, 1, (3, 65536)), random_key)
     assert exc.value.index == 1
     assert exc.value.value == 65536
+
+
+@pytest.mark.parametrize("length", [8, MIN_KEY_LENGTH - 1])
+def test_short_hand_built_key_is_rejected_at_decode(length):
+    # reading back needs bases up to position 65539; a shorter hand-built
+    # key must fail loudly rather than decode some pixels wrong
+    key = _stub_key(bases="GATC" * (length // 4) + "G" * (length % 4))
+    with pytest.raises(SequenceTooShort) as exc:
+        reverse_substitute(PointerGrid(2, 1, (0, 4)), key)
+    assert exc.value.actual_length == length
+    assert exc.value.required == MIN_KEY_LENGTH
 
 
 def test_pointer_grid_validates_shape():

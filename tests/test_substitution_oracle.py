@@ -5,16 +5,25 @@ implementations, kept verbatim as the reference: they take and return
 `DnaImage` grids of four-base words.  The byte-level functions must draw the
 same pointers from the same stream, decode the same pixels, and fail with the
 same error type and attributes, for random images, seeds and keys whose
-occurrence lists include singletons and empty lists.
+occurrence lists include singletons and empty lists.  The block-drawn
+`RandomStream.outputs` must equal one `next64` call per value, across block
+boundaries and across the wrap of the state past 2**64.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bases
-from dnamagic.dna import QUAD_TO_BYTE, DnaImage, resynthesize, synthesize
+from conftest import random_bases, random_image
+from dnamagic.dna import (
+    BYTE_TO_QUAD,
+    QUAD_TO_BYTE,
+    DnaImage,
+    resynthesize,
+    synthesize,
+)
 from dnamagic.errors import PointerOutOfRange, QuadNotCovered
 from dnamagic.imageio import PlainImage
 from dnamagic.reference import KmerIndex, NucleotideSequence, ReferenceKey, WINDOW_STARTS, scan_index
@@ -120,3 +129,42 @@ def test_reverse_substitute_matches_frozen_oracle(grid):
     new = outcome(lambda: reverse_substitute(grid, key))
     old = outcome(lambda: resynthesize(oracle_reverse_substitute(grid, key)))
     assert new == old
+
+
+GAMMA = 0x9E3779B97F4B7C15
+# 2**64 - 1 and 2**64 - GAMMA wrap the state on the first and second draw
+SEEDS = [0, 1, (1 << 64) - 1, (1 << 64) - GAMMA, random.Random(4096).getrandbits(64)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193, 12293])
+def test_outputs_match_next64_calls(seed, n):
+    blocked, serial = RandomStream(seed), RandomStream(seed)
+    assert list(blocked.outputs(n)) == [serial.next64() for _ in range(n)]
+    assert blocked.next64() == serial.next64()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("width,height", [(64, 64), (4097, 1), (91, 90), (129, 64)])
+def test_substitute_matches_frozen_oracle_past_one_block(width, height, seed):
+    image = random_image(random.Random(width * height), width, height)
+    key = stub_key({0: (5,), 1: (3, 9), 2: (11, 12, 13)})
+    new_rng, old_rng = RandomStream(seed), RandomStream(seed)
+    assert substitute(image, key, new_rng) == oracle_substitute(synthesize(image), key, old_rng)
+    assert new_rng.next64() == old_rng.next64()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uncovered_word_in_the_third_block_fails_like_the_oracle(seed):
+    rng = random.Random(9000)
+    pixels = bytearray(rng.randrange(8, 256) for _ in range(120 * 100))
+    # 7 is the first uncovered cell; 0 comes later but first in set order
+    pixels[9000] = 7
+    pixels[11000] = 0
+    image = PlainImage(120, 100, bytes(pixels))
+    key = stub_key({0: (), 7: ()})
+    new_rng, old_rng = RandomStream(seed), RandomStream(seed)
+    new = outcome(lambda: substitute(image, key, new_rng))
+    old = outcome(lambda: oracle_substitute(synthesize(image), key, old_rng))
+    assert new == old == ("QuadNotCovered", BYTE_TO_QUAD[7])
+    assert new_rng.next64() == old_rng.next64()
