@@ -6,13 +6,14 @@ stderr as "ErrorName: detail").
 
 import argparse
 import csv
+import math
 import secrets
 import sys
 from pathlib import Path
 
 from . import analysis, cipher, imageio, magic_square, reference
 from .dna import BYTE_TO_QUAD
-from .errors import DnamagicError, list_quads
+from .errors import DnamagicError, ZeroVariance, list_quads
 from .substitution import RandomStream
 
 EXIT_OK = 0
@@ -152,21 +153,31 @@ def _cmd_decrypt(args) -> int:
     return EXIT_OK
 
 
+def _correlation(cells, width: int, height: int, direction: str, sample_n: int,
+                 seed: int) -> float:
+    """Sampled adjacent correlation, nan when a sampled series is constant."""
+    # a fresh stream per call means plain and cipher sample identical positions
+    try:
+        return analysis.adjacent_correlation(cells, width, height, direction, sample_n,
+                                             RandomStream(seed)).r
+    except ZeroVariance:
+        return math.nan
+
+
 def _cmd_analyze(args) -> int:
     plain = _load_pgm(args.plain)
     blob = _load_cipher(args.cipher)
     seed = _resolve_seed(args.seed)
 
     rows: list[tuple[str, str, float]] = []
-    # a fresh stream per call means plain and cipher sample identical positions
     for direction in analysis.DIRECTIONS:
-        report = analysis.adjacent_correlation(plain.pixels, plain.width, plain.height,
-                                               direction, args.sample_n, RandomStream(seed))
-        rows.append(("plain_correlation", direction, report.r))
+        rows.append(("plain_correlation", direction,
+                     _correlation(plain.pixels, plain.width, plain.height, direction,
+                                  args.sample_n, seed)))
     for direction in analysis.DIRECTIONS:
-        report = analysis.adjacent_correlation(blob.pointers, blob.width, blob.height,
-                                               direction, args.sample_n, RandomStream(seed))
-        rows.append(("cipher_correlation", direction, report.r))
+        rows.append(("cipher_correlation", direction,
+                     _correlation(blob.pointers, blob.width, blob.height, direction,
+                                  args.sample_n, seed)))
     rows.append(("plain_histogram_chi2", "",
                  analysis.chi_square_uniform(analysis.histogram(plain.pixels))))
     rows.append(("cipher_histogram_chi2", "",

@@ -1,5 +1,5 @@
-"""Shared-key sequence handling: FASTA ingestion, 4-mer occurrence indexing,
-and key fingerprinting.
+"""Shared-key sequence handling: FASTA ingestion, the window's position->pixel
+table, 4-mer occurrence indexing, and key fingerprinting.
 
 The cipher draws pointers from a fixed window of 65536 start positions, so
 every pointer fits in 16 bits.  A usable key therefore needs at least
@@ -12,7 +12,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .dna import BYTE_TO_QUAD, QUAD_TO_BYTE
+from .dna import BYTE_TO_QUAD, NUCLEOTIDES
 from .errors import EmptySequence, InvalidSymbol, QuadCoverageError, SequenceTooShort
 
 WINDOW_STARTS = 65536
@@ -25,8 +25,12 @@ _MASK64 = (1 << 64) - 1
 
 # re's \s is exactly str.isspace, and only ACGTacgt upper-case into ACGT
 _INVALID_SYMBOL = re.compile(r"[^\sACGTacgt]")
-_NON_BASES = re.compile(r"[^ACGTacgt]+")
-_NON_ACGT = re.compile(r"[^ACGT]")
+# byte-level forms of the same rules, for one translate pass per record body
+_UPPER = bytes.maketrans(b"acgt", b"ACGT")
+_NON_BASES = bytes(b for b in range(256) if b not in b"ACGTacgt")
+_ALLOWED = b"ACGTacgt" + bytes(b for b in range(256) if chr(b).isspace())
+
+_BASE_CODES = bytes.maketrans(NUCLEOTIDES.encode("ascii"), bytes(range(4)))  # 2-bit codes
 
 
 class SingleOccurrenceWarning(UserWarning):
@@ -42,7 +46,7 @@ class NucleotideSequence:
     source_name: str = ""
 
     def __post_init__(self):
-        if _NON_ACGT.search(self.bases):
+        if not self.bases.isascii() or self.bases.encode("ascii").translate(None, b"ACGT"):
             bad = sorted(set(self.bases) - set("ACGT"))
             raise ValueError(f"sequence contains symbols outside ACGT: {bad}")
 
@@ -77,21 +81,35 @@ def parse_fasta(data: bytes | str, mode: str = "strict") -> NucleotideSequence:
     """
     if mode not in ("strict", "sanitize"):
         raise ValueError(f"unknown mode {mode!r}")
-    text = data.decode("latin-1") if isinstance(data, (bytes, bytearray)) else data
+    # one byte per character keeps offsets; symbols past U+00FF become "?",
+    # which is not a base, and their original text is read back from data
+    raw = data.encode("latin-1", "replace") if isinstance(data, str) else data
+
+    def text(start: int, stop: int) -> str:
+        return data[start:stop] if isinstance(data, str) else raw[start:stop].decode("latin-1")
 
     name = ""
-    body: list[str] = []
-    offset = 0
-    for line in text.split("\n"):
-        if line.startswith(">"):
-            name = name or line[1:].strip()
-        elif mode == "strict" and (bad := _INVALID_SYMBOL.search(line)):
-            raise InvalidSymbol(offset + bad.start(), bad.group())
+    chunks: list[str] = []  # decoded per record, so no whole-key bytes copy is made
+    start = 0
+    while start <= len(raw):
+        if raw.startswith(b">", start):
+            stop = raw.find(b"\n", start)
+            stop = len(raw) if stop < 0 else stop
+            name = name or text(start + 1, stop).strip()
         else:
-            body.append(line)
-        offset += len(line) + 1
+            # a record body runs up to the next line that starts with '>'
+            stop = raw.find(b"\n>", start)
+            stop = len(raw) if stop < 0 else stop
+            body = raw[start:stop]
+            if mode == "strict" and body.translate(None, _ALLOWED):
+                # some byte is neither a base nor latin-1 whitespace; search
+                # the original text, where wide whitespace is still allowed
+                if bad := _INVALID_SYMBOL.search(text(start, stop)):
+                    raise InvalidSymbol(start + bad.start(), bad.group())
+            chunks.append(body.translate(_UPPER, _NON_BASES).decode("ascii"))
+        start = stop + 1
 
-    bases = _NON_BASES.sub("", "".join(body)).upper()
+    bases = "".join(chunks)
     if not bases:
         raise EmptySequence()
     return NucleotideSequence(bases, source_name=name)
@@ -117,16 +135,26 @@ def key_fingerprint(seq: NucleotideSequence) -> int:
     return fnv1a_64(seq.bases[:MIN_KEY_LENGTH].encode("ascii"))
 
 
+def pixel_table(bases: str) -> bytes:
+    """The pixel value whose word starts at each of the window's positions."""
+    if len(bases) < MIN_KEY_LENGTH:
+        raise SequenceTooShort(len(bases), MIN_KEY_LENGTH)
+    codes = bases[:WINDOW_STARTS + 3].encode("ascii").translate(_BASE_CODES)
+    # one byte lane per position; the 2-bit codes of a word's four bases
+    # land in disjoint bits of its lane, so the ORs never carry
+    table = 0
+    for offset, shift in enumerate((6, 4, 2, 0)):
+        table |= int.from_bytes(codes[offset:offset + WINDOW_STARTS], "big") << shift
+    return table.to_bytes(WINDOW_STARTS, "big")
+
+
 def scan_index(seq: NucleotideSequence) -> KmerIndex:
-    """Single scan over start positions 0..65535; quads with zero occurrences
-    are allowed here (build_key enforces coverage)."""
-    if len(seq.bases) < MIN_KEY_LENGTH:
-        raise SequenceTooShort(len(seq.bases), MIN_KEY_LENGTH)
+    """Bucket start positions 0..65535 by the pixel value of their word;
+    quads with zero occurrences are allowed here (build_key enforces coverage)."""
     positions: list[list[int]] = [[] for _ in range(256)]
-    bases = seq.bases
-    for p in range(WINDOW_STARTS):
+    for p, value in enumerate(pixel_table(seq.bases)):
         # scan order keeps every occurrence list strictly increasing
-        positions[QUAD_TO_BYTE[bases[p:p + 4]]].append(p)
+        positions[value].append(p)
     return KmerIndex(
         occurrences=tuple(tuple(lst) for lst in positions),
         min_multiplicity=min(len(lst) for lst in positions),

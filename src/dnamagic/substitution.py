@@ -8,10 +8,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .dna import BYTE_TO_QUAD, NUCLEOTIDES
-from .errors import PointerOutOfRange, QuadNotCovered, SequenceTooShort
+from .dna import BYTE_TO_QUAD
+from .errors import PointerOutOfRange, QuadNotCovered
 from .imageio import PlainImage
-from .reference import MIN_KEY_LENGTH, ReferenceKey, WINDOW_STARTS
+from .reference import ReferenceKey, WINDOW_STARTS, pixel_table
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4B7C15
@@ -133,27 +133,11 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
     return PointerGrid(image.width, image.height, tuple(pointers))
 
 
-_BASE_CODES = bytes.maketrans(NUCLEOTIDES.encode("ascii"), bytes(range(4)))
-
-
-def _pixel_table(bases: str) -> bytes:
-    """The pixel value whose word starts at each of the window's positions."""
-    if len(bases) < MIN_KEY_LENGTH:
-        raise SequenceTooShort(len(bases), MIN_KEY_LENGTH)
-    codes = bases[:WINDOW_STARTS + 3].encode("ascii").translate(_BASE_CODES)
-    # one byte lane per position; the 2-bit codes of a word's four bases
-    # land in disjoint bits of its lane, so the ORs never carry
-    table = 0
-    for offset, shift in enumerate((6, 4, 2, 0)):
-        table |= int.from_bytes(codes[offset:offset + WINDOW_STARTS], "big") << shift
-    return table.to_bytes(WINDOW_STARTS, "big")
-
-
 def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:
     """Read back the pixel whose word each pointer names; inverts substitute for any randomness."""
     pointers = grid.pointers
     if pointers and (min(pointers) < 0 or max(pointers) >= WINDOW_STARTS):
         index = next(i for i, p in enumerate(pointers) if not 0 <= p < WINDOW_STARTS)
         raise PointerOutOfRange(index, pointers[index])
-    table = _pixel_table(key.sequence.bases)
+    table = pixel_table(key.sequence.bases)
     return PlainImage(grid.width, grid.height, bytes(map(table.__getitem__, pointers)))

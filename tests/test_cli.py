@@ -1,5 +1,6 @@
 """Command-line behaviour: flags, exit codes, file round trips."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import random_image
 from dnamagic.cipher import deserialize
 from dnamagic.cli import run
-from dnamagic.imageio import read_pgm, write_pgm
+from dnamagic.imageio import PlainImage, read_pgm, write_pgm
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,32 @@ def test_analyze_with_key_output_is_pinned(workdir, tmp_path, capsys):
         "differential_change_rate: 0.996045\n"
         "paired_seed_changed_cells: 1.000000\n"
     )
+
+
+def test_analyze_reports_undefined_correlation_of_constant_image_as_nan(workdir, tmp_path,
+                                                                        capsys):
+    plain_path = tmp_path / "zero64.pgm"
+    plain_path.write_bytes(write_pgm(PlainImage(64, 64, bytes(64 * 64))))
+    cipher_path = tmp_path / "zero64.dmc"
+    csv_path = tmp_path / "zero64.csv"
+    key = str(workdir / "key.fasta")
+    assert run(["encrypt", "--in", str(plain_path), "--key", key,
+                "--out", str(cipher_path), "--seed", "1"]) == 0
+    assert run(["analyze", "--plain", str(plain_path), "--cipher", str(cipher_path),
+                "--key", key, "--trials", "2", "--seed", "1", "--csv", str(csv_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["plain_correlation[horizontal]: nan", "plain_correlation[vertical]: nan",
+                       "plain_correlation[diagonal]: nan"]
+    labels = [line.split(":")[0] for line in out[3:]]
+    assert labels == ["cipher_correlation[horizontal]", "cipher_correlation[vertical]",
+                      "cipher_correlation[diagonal]", "plain_histogram_chi2",
+                      "cipher_histogram_chi2", "differential_change_rate",
+                      "paired_seed_changed_cells"]
+    assert all(math.isfinite(float(line.split(": ")[1])) for line in out[3:])
+    rows = csv_path.read_text().strip().splitlines()
+    assert rows[1:4] == ["plain_correlation,horizontal,nan", "plain_correlation,vertical,nan",
+                         "plain_correlation,diagonal,nan"]
+    assert len(rows) == 11
 
 
 @pytest.mark.parametrize("flag,value", [("--sample-n", "1"), ("--sample-n", "1048577"),

@@ -3,8 +3,11 @@
 `oracle_parse_fasta` is the original per-character state machine, kept
 verbatim as the reference for the FASTA rules.  The two parsers must agree
 on the bases and the record name, or on the type, offset and symbol of the
-error, for bytes and str inputs in both modes.
+error, for bytes, bytearray and str inputs in both modes, from short runs of
+symbols up to multi-record files whose bodies span thousands of symbols.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,3 +93,58 @@ inputs = st.one_of(
 def test_parse_fasta_matches_frozen_oracle(data, mode):
     assert outcome(parse_fasta, data, mode) == outcome(oracle_parse_fasta, data, mode)
 
+
+
+# Multi-record files: an optional header at offset 0, records joined at "\n>",
+# LF or CRLF line ends, bodies of up to a few thousand mostly-base symbols
+# with a rare piece mixed in ('>' after column 0, junk, latin-1 or wide
+# whitespace, a line break or a new header), and a last header that may lack
+# its LF.  Bodies come from a drawn seed, since drawing each symbol is slow.
+@st.composite
+def fasta_files(draw):
+    wide = draw(st.booleans())
+    pieces = LATIN1_PIECES + WIDE_PIECES if wide else LATIN1_PIECES
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dirt = draw(st.sampled_from([0.0, 0.0002, 0.002, 0.02]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    names = st.lists(st.sampled_from(pieces), max_size=4).map("".join)
+
+    parts = []
+    for r in range(draw(st.integers(1, 4))):
+        if r or draw(st.booleans()):
+            parts.append(">" + draw(names) + eol)
+        width = draw(st.integers(1, 80))
+        body = [rng.choice(pieces) if rng.random() < dirt else rng.choice("ACGTACGTacgt")
+                for _ in range(draw(st.integers(0, 4000)))]
+        parts.extend("".join(body[i:i + width]) + eol for i in range(0, len(body), width))
+    if draw(st.booleans()):
+        parts.append(">" + draw(names))  # a last header without its LF
+
+    text = "".join(parts)
+    if wide:
+        return text
+    raw = text.encode("latin-1")
+    return draw(st.sampled_from([raw, bytearray(raw), text]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=fasta_files(), mode=st.sampled_from(["strict", "sanitize"]))
+def test_parse_fasta_matches_frozen_oracle_at_record_scale(data, mode):
+    assert outcome(parse_fasta, data, mode) == outcome(oracle_parse_fasta, data, mode)
+
+
+def test_invalid_symbol_in_last_of_four_large_records():
+    rng = random.Random(4)
+    records = []
+    for r in range(4):
+        bases = "".join(rng.choices("ACGTacgt", k=50_000))
+        lines = [bases[i:i + 60] for i in range(0, len(bases), 60)]
+        records.append(f">chr{r + 1} record {r}\n" + "\n".join(lines) + "\n")
+    last = records[-1]
+    cut = len(last) - 1000
+    records[-1] = last[:cut] + "N" + last[cut:]
+    text = "".join(records)
+    for data in (text.encode("latin-1"), bytearray(text.encode("latin-1")), text):
+        expected = outcome(oracle_parse_fasta, data, "strict")
+        assert expected == ("InvalidSymbol", text.index("N"), "N")
+        assert outcome(parse_fasta, data, "strict") == expected

@@ -111,6 +111,11 @@ def test_sequence_type_rejects_non_acgt():
     # the message lists every offending symbol once, sorted
     with pytest.raises(ValueError, match=re.escape("outside ACGT: ['N', 'U', 'a']")):
         NucleotideSequence("ACGTUaNNU")
+    # non-ASCII symbols are listed the same way
+    for bases, bad in [("ACGT\xc4", "['\xc4']"), ("ACGT\u0130", "['\u0130']"),
+                       ("ACGT\U0001f600", "['\U0001f600']")]:
+        with pytest.raises(ValueError, match=re.escape(f"outside ACGT: {bad}")):
+            NucleotideSequence(bases)
     assert NucleotideSequence("").bases == ""
 
 
