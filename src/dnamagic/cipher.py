@@ -81,15 +81,29 @@ def decrypt(cipher: CipherImage, key: ReferenceKey) -> PlainImage:
     return reverse_substitute(grid, key)
 
 
+def _pack(fmt: str, field: str, values: tuple[int, ...]) -> bytes:
+    try:
+        return struct.pack(fmt, *values)
+    except struct.error as exc:
+        raise ValueError(f"{field} does not fit the DMC1 container: {exc}") from None
+
+
 def serialize(cipher: CipherImage) -> bytes:
-    """Emit the container bytes; deterministic byte-for-byte."""
+    """Emit the container bytes; deterministic byte-for-byte.
+
+    Raises ValueError, naming the field, for a value DMC1 cannot hold: flags
+    outside 0..255, a width or height outside 0..2**32-1, a fingerprint
+    outside 0..2**64-1 or a cell outside 0..65535.
+    """
     if bool(cipher.flags & FLAG_FINGERPRINT) != (cipher.fingerprint is not None):
         raise ValueError("fingerprint flag and fingerprint field disagree")
-    parts = [_HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, cipher.flags,
-                          cipher.width, cipher.height)]
+    parts = [CONTAINER_MAGIC, bytes([CONTAINER_VERSION]),
+             _pack("<B", "flags", (cipher.flags,)),
+             _pack("<I", "width", (cipher.width,)),
+             _pack("<I", "height", (cipher.height,))]
     if cipher.fingerprint is not None:
-        parts.append(struct.pack("<Q", cipher.fingerprint))
-    parts.append(struct.pack(f"<{len(cipher.pointers)}H", *cipher.pointers))
+        parts.append(_pack("<Q", "fingerprint", (cipher.fingerprint,)))
+    parts.append(_pack(f"<{len(cipher.pointers)}H", "cell", cipher.pointers))
     return b"".join(parts)
 
 

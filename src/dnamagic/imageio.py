@@ -8,11 +8,17 @@ The writer always emits binary P5 in the canonical form
 so byte-level comparisons of written files are deterministic.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import MalformedHeader, TruncatedPayload, UnsupportedMaxval
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# One PGM token and the separators before it; a bytes-pattern \s is exactly
+# the six ASCII whitespace bytes.  A '#' comment runs to LF, so after one the
+# token is the first to open a later line after blanks (lines between are
+# blank or comments).  Only single-byte classes repeat, so a match keeps no
+# backtracking state per separator or comment, as an atomic group would.
+_TOKEN = re.compile(rb"\s*(?:#.*?\n[^\S\n]*)?([^\s#]+)", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -33,22 +39,11 @@ class PlainImage:
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#' comment runs to end of line
-            while pos < n and data[pos] != 0x0A:
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != 0x23:
-        pos += 1
-    if start == pos:
+    m = _TOKEN.match(data, pos)
+    if m is None:
         raise MalformedHeader("unexpected end of input while reading a token")
-    return data[start:pos], pos
+    # a slice of data, not m[1], so a bytearray input yields a bytearray token
+    return data[m.start(1):m.end(1)], m.end()
 
 
 def _to_int(token: bytes, what: str) -> int:
@@ -86,7 +81,7 @@ def read_pgm(data: bytes) -> PlainImage:
 
     if magic == b"P5":
         # exactly one whitespace byte separates the maxval from the payload
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
+        if not data[pos:pos + 1].isspace():
             raise MalformedHeader("missing whitespace before binary payload")
         pos += 1
         payload = data[pos:pos + count]

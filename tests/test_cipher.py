@@ -185,6 +185,17 @@ def test_serialize_rejects_inconsistent_fingerprint_flag():
         serialize(CipherImage(4, 4, tuple(range(16)), 0, 5))
 
 
+@pytest.mark.parametrize("cipher,field", [
+    (CipherImage(4, 4, (70000,) + (0,) * 15), "cell"),
+    (CipherImage(4, 4, (0,) * 15 + (-1,)), "cell"),
+    (CipherImage(4, 4, (0,) * 16, 1, 1 << 64), "fingerprint"),
+    (CipherImage(1 << 32, 0, ()), "width"),
+], ids=["cell-70000", "cell-minus-1", "fingerprint-2-64", "width-2-32"])
+def test_serialize_rejects_values_dmc1_cannot_hold(cipher, field):
+    with pytest.raises(ValueError, match=f"^{field} does not fit the DMC1 container"):
+        serialize(cipher)
+
+
 def test_cipher_image_validates_cell_count():
     with pytest.raises(ValueError):
         CipherImage(4, 4, tuple(range(15)))
