@@ -7,7 +7,6 @@ stderr as "ErrorName: detail").
 import argparse
 import csv
 import math
-import secrets
 import sys
 from pathlib import Path
 
@@ -131,7 +130,7 @@ def _load_key(path: str, mode: str) -> reference.ReferenceKey:
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is None:
-        seed = secrets.randbits(64)
+        seed = RandomStream().seed
         print(f"seed: {seed}", file=sys.stderr)  # echoed so any run can be reproduced
     return seed
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .imageio import PlainImage
 
 NUCLEOTIDES = "CTAG"  # indexed by 2-bit code
-CODE_OF = {"C": 0, "T": 1, "A": 2, "G": 3}
+CODE_OF = {base: code for code, base in enumerate(NUCLEOTIDES)}
 
 
 def encode_pixel(value: int) -> str:

@@ -5,9 +5,6 @@ from typing import Sequence
 
 from .errors import LengthMismatch, NotDoublyEven, OrderTooLarge
 
-# cells of each 4x4 block whose values get complemented during construction
-_INVERT = {(0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0), (3, 3)}
-
 # largest order generate_doubly_even builds; its square holds order^2 Python ints
 MAX_ORDER = 1024
 
@@ -35,24 +32,17 @@ class Permutation:
 def generate_doubly_even(n: int) -> MagicSquare:
     """Construct an order-n magic square for n a positive multiple of 4.
 
-    Cells are filled 1..n^2 row-major, then every cell on the diagonal
-    pattern of its 4x4 block is replaced by the complement n^2+1-v.
+    The square is scramble_square applied to 1..n^2 laid out row-major: every
+    cell on the diagonal pattern of its 4x4 block holds the complement
+    n^2+1-v of its row-major value v.  So the square is, by construction,
+    the permutation the cipher applies.
     """
     if n < 4 or n % 4 != 0:
         raise NotDoublyEven(n)
     if n > MAX_ORDER:
         raise OrderTooLarge(n, MAX_ORDER)
-    total = n * n + 1
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = i * n + j + 1
-            if (i % 4, j % 4) in _INVERT:
-                v = total - v
-            row.append(v)
-        rows.append(tuple(row))
-    return MagicSquare(n, tuple(rows))
+    values = scramble_square(range(1, n * n + 1), n)
+    return MagicSquare(n, tuple(tuple(values[row:row + n]) for row in range(0, n * n, n)))
 
 
 def to_permutation(square: MagicSquare) -> Permutation:
@@ -86,12 +76,13 @@ def unscramble(grid: Sequence, perm: Permutation) -> list:
 
 
 def scramble_square(grid: Sequence, n: int) -> list:
-    """Apply the permutation of generate_doubly_even(n) without building it.
+    """The magic-square permutation of an order-n grid, in closed form.
 
-    Cell k = i*n + j holds a complemented value, and so moves to n^2-1-k,
-    exactly when i % 4 and j % 4 are both or neither in {0, 3}; every other
-    cell stays put.  That set is symmetric under k -> n^2-1-k, so the map is
-    its own inverse and this one call both scrambles and unscrambles.
+    Cell k = i*n + j moves to n^2-1-k exactly when i % 4 and j % 4 are both
+    or neither in {0, 3}; every other cell stays put.  That set is symmetric
+    under k -> n^2-1-k, so the map is its own inverse and this one call both
+    scrambles and unscrambles.  Applied to 1..n^2 it gives the cells of
+    generate_doubly_even(n), whose value v in cell k sends k to v-1.
     """
     if n < 4 or n % 4 != 0:
         raise NotDoublyEven(n)

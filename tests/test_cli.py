@@ -1,5 +1,6 @@
 """Command-line behaviour: flags, exit codes, file round trips."""
 
+import hashlib
 import math
 import random
 
@@ -28,6 +29,22 @@ def test_magic_prints_square_and_constant(capsys):
     out = capsys.readouterr().out
     assert "16  2  3 13" in out
     assert "magic constant: 34" in out
+
+
+# SHA-256 of the whole stdout of `magic --order N`: cell values, row cutting
+# and column widths, recorded from the nested-loop constructor
+MAGIC_STDOUT_SHA256 = {
+    8: "a10041dd8d5829c3e1d373b40142fbdd9a35c14003c2613fd9a8ead7d1fc49e7",
+    12: "b5abbcbd2f638ea6ea4fdaf062c7dd9bb5a900a6a47116eb221c91232c87a305",
+    1024: "73d512be79af26df25bed12701a0e66d68dca28f4ac09b99dd563e90ac391f2c",
+}
+
+
+@pytest.mark.parametrize("order", sorted(MAGIC_STDOUT_SHA256))
+def test_magic_output_is_pinned(capsys, order):
+    assert run(["magic", "--order", str(order)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == MAGIC_STDOUT_SHA256[order]
 
 
 def test_magic_rejects_odd_order(capsys):

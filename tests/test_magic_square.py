@@ -1,9 +1,11 @@
 """Magic square construction and grid scrambling."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from conftest import oracle_doubly_even
 from dnamagic.errors import LengthMismatch, NotDoublyEven, OrderTooLarge
 from dnamagic.magic_square import (
     MAX_ORDER,
@@ -47,7 +49,12 @@ def test_all_lines_sum_to_magic_constant(n):
     assert_is_magic(generate_doubly_even(n))
 
 
-@pytest.mark.parametrize("n", [5, 6, 2, 1, 0, -4])
+@pytest.mark.parametrize("n", [*range(4, 257, 4), 512, MAX_ORDER])
+def test_matches_frozen_constructor(n):
+    assert generate_doubly_even(n) == oracle_doubly_even(n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 2, 1, 0, -4, MAX_ORDER + 2])
 def test_rejects_orders_not_multiple_of_four(n):
     with pytest.raises(NotDoublyEven):
         generate_doubly_even(n)
@@ -56,8 +63,15 @@ def test_rejects_orders_not_multiple_of_four(n):
 
 
 def test_rejects_orders_above_limit():
-    with pytest.raises(OrderTooLarge):
-        generate_doubly_even(MAX_ORDER + 4)
+    tracemalloc.start()
+    try:
+        for n in (MAX_ORDER + 4, 40000):
+            with pytest.raises(OrderTooLarge):
+                generate_doubly_even(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # an order-1028 square alone would take tens of MB
 
 
 def test_permutation_from_order_4():
@@ -79,7 +93,7 @@ def test_permutation_is_bijective(n):
 
 @pytest.mark.parametrize("n", range(4, 257, 4))
 def test_closed_form_matches_reference_permutation(n):
-    perm = to_permutation(generate_doubly_even(n))
+    perm = to_permutation(oracle_doubly_even(n))
     grid = list(range(n * n))
     assert scramble_square(grid, n) == scramble(grid, perm) == unscramble(grid, perm)
 

@@ -8,6 +8,8 @@ import random
 import re
 from pathlib import Path
 
+import pytest
+
 from conftest import KEY_SEED, random_bases
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -18,6 +20,7 @@ def test_readme_has_python_examples():
     assert len(BLOCKS) >= 3
 
 
+@pytest.mark.filterwarnings("error")  # so an example that leaves a file open fails
 def test_readme_python_examples_run(tmp_path, monkeypatch):
     (tmp_path / "key.fasta").write_text(random_bases(random.Random(KEY_SEED), 65540))
     monkeypatch.chdir(tmp_path)
