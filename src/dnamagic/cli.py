@@ -8,6 +8,7 @@ import argparse
 import csv
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import analysis, cipher, imageio, magic_square, reference
@@ -166,36 +167,36 @@ def _correlation(cells, width: int, height: int, direction: str, sample_n: int,
 def _cmd_analyze(args) -> int:
     plain = _load_pgm(args.plain)
     blob = _load_cipher(args.cipher)
-    seed = _resolve_seed(args.seed)
+    key = None if args.key is None else _load_key(args.key, args.mode)
+    # every input is read and the report opened before any metric is computed
+    with (open(args.csv, "w", newline="") if args.csv is not None else nullcontext()) as report:
+        seed = _resolve_seed(args.seed)
+        rows: list[tuple[str, str, float]] = []
+        for direction in analysis.DIRECTIONS:
+            rows.append(("plain_correlation", direction,
+                         _correlation(plain.pixels, plain.width, plain.height, direction,
+                                      args.sample_n, seed)))
+        for direction in analysis.DIRECTIONS:
+            rows.append(("cipher_correlation", direction,
+                         _correlation(blob.pointers, blob.width, blob.height, direction,
+                                      args.sample_n, seed)))
+        rows.append(("plain_histogram_chi2", "",
+                     analysis.chi_square_uniform(analysis.histogram(plain.pixels))))
+        rows.append(("cipher_histogram_chi2", "", analysis.chi_square_uniform(
+            analysis.histogram(analysis.high_bytes(blob.pointers)))))
 
-    rows: list[tuple[str, str, float]] = []
-    for direction in analysis.DIRECTIONS:
-        rows.append(("plain_correlation", direction,
-                     _correlation(plain.pixels, plain.width, plain.height, direction,
-                                  args.sample_n, seed)))
-    for direction in analysis.DIRECTIONS:
-        rows.append(("cipher_correlation", direction,
-                     _correlation(blob.pointers, blob.width, blob.height, direction,
-                                  args.sample_n, seed)))
-    rows.append(("plain_histogram_chi2", "",
-                 analysis.chi_square_uniform(analysis.histogram(plain.pixels))))
-    rows.append(("cipher_histogram_chi2", "",
-                 analysis.chi_square_uniform(analysis.histogram(analysis.high_bytes(blob.pointers)))))
+        if key is not None:
+            rate = analysis.differential_sensitivity(plain, key, args.trials, RandomStream(seed))
+            rows.append(("differential_change_rate", "", rate))
+            pixel = RandomStream(seed).randbelow(plain.width * plain.height)
+            changed = analysis.differential_paired_seed(plain, key, seed, pixel)
+            rows.append(("paired_seed_changed_cells", "", float(changed)))
 
-    if args.key is not None:
-        key = _load_key(args.key, args.mode)
-        rate = analysis.differential_sensitivity(plain, key, args.trials, RandomStream(seed))
-        rows.append(("differential_change_rate", "", rate))
-        pixel = RandomStream(seed).randbelow(plain.width * plain.height)
-        changed = analysis.differential_paired_seed(plain, key, seed, pixel)
-        rows.append(("paired_seed_changed_cells", "", float(changed)))
-
-    for metric, direction, value in rows:
-        label = f"{metric}[{direction}]" if direction else metric
-        print(f"{label}: {value:.6f}")
-    if args.csv is not None:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
+        for metric, direction, value in rows:
+            label = f"{metric}[{direction}]" if direction else metric
+            print(f"{label}: {value:.6f}")
+        if report is not None:
+            writer = csv.writer(report)
             writer.writerow(["metric", "direction", "value"])
             writer.writerows(rows)
     return EXIT_OK
@@ -228,12 +229,11 @@ def _cmd_keyinfo(args) -> int:
     print(f"source: {seq.source_name or '(unnamed)'}")
     print(f"length: {len(seq.bases)}")
     index = reference.scan_index(seq)
-    covered = [bool(lst) for lst in index.occurrences]
-    print(f"coverage: {sum(covered)}/256 quads")
+    missing = [BYTE_TO_QUAD[v] for v, lst in enumerate(index.occurrences) if not lst]
+    print(f"coverage: {256 - len(missing)}/256 quads")
     print(f"min multiplicity: {index.min_multiplicity}")
     print(f"fingerprint: 0x{reference.key_fingerprint(seq):016x}")
-    if not all(covered):
-        missing = [BYTE_TO_QUAD[v] for v, ok in enumerate(covered) if not ok]
+    if missing:
         print(f"missing quads: {list_quads(missing)}")
         return EXIT_DATA
     return EXIT_OK

@@ -3,7 +3,7 @@ positions in the key window, chosen at random; reading the word back at the
 pointed-to position inverts it for any choice of randomness.
 """
 
-import secrets
+import os
 import sys
 from array import array
 from dataclasses import dataclass
@@ -39,6 +39,14 @@ _LOW64 = _ONES * _MASK64
 _STEPS = (_counting_lanes() * _GAMMA) & _LOW64  # lane k: (k+1)*gamma mod 2**64
 
 
+def _mix(z: int, low: int) -> int:
+    """splitmix64's output mix of each lane of z, in its low 64 bits; low is 2**64 - 1 per lane."""
+    # masked before every shift and product, so no lane reads bits of the next one
+    z = (((z ^ (z >> 30)) & low) * _MIX1) & low
+    z = (((z ^ (z >> 27)) & low) * _MIX2) & low
+    return z ^ (z >> 31)
+
+
 class RandomStream:
     """Seedable deterministic 64-bit generator (splitmix64 recurrence).
 
@@ -51,7 +59,7 @@ class RandomStream:
 
     def __init__(self, seed: int | None = None):
         if seed is None:
-            seed = secrets.randbits(64)
+            seed = int.from_bytes(os.urandom(8), "little")
         if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
@@ -59,11 +67,8 @@ class RandomStream:
 
     def next64(self) -> int:
         """Next raw 64-bit output."""
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        return _mix(z, _MASK64)
 
     def outputs(self, n: int) -> array:
         """The next n raw outputs, the same values as n next64() calls.
@@ -72,22 +77,16 @@ class RandomStream:
         4096 outputs is computed at once in 128-bit lanes of one int.
         """
         out = array("Q")
-        state = self._state
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
             keep = (1 << (_LANE_BITS * m)) - 1
             low = _LOW64 & keep
-            z = ((_STEPS & keep) + state * (_ONES & keep)) & low
-            # every lane is masked before each shift or product, so bits
-            # shifted in from the next lane are dropped
-            z = (((z ^ (z >> 30)) & low) * _MIX1) & low
-            z = (((z ^ (z >> 27)) & low) * _MIX2) & low
-            words = array("Q", ((z ^ (z >> 31)) & low).to_bytes(_LANE_BITS // 8 * m, "little"))
+            z = _mix(((_STEPS & keep) + self._state * (_ONES & keep)) & low, low)
+            words = array("Q", z.to_bytes(_LANE_BITS // 8 * m, "little"))
             if sys.byteorder == "big":
                 words.byteswap()
             out.extend(words[::2])
-            state = (state + m * _GAMMA) & _MASK64
-        self._state = state
+            self._state = (self._state + m * _GAMMA) & _MASK64
         return out
 
     def randbelow(self, n: int) -> int:
@@ -121,13 +120,13 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
     """
     occurrences = key.index.occurrences
     pixels = image.pixels
-    # unreachable for keys produced by build_key, which enforces coverage
-    uncovered = [value for value in set(pixels) if not occurrences[value]]
+    counts = [len(options) for options in occurrences]
+    # empty for keys produced by build_key, which enforces coverage
+    uncovered = [value for value, count in enumerate(counts) if not count and value in pixels]
     if uncovered:
-        first = min(pixels.index(value) for value in uncovered)
+        first = min(map(pixels.index, uncovered))
         rng.outputs(first)  # the cells before it still draw
         raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
-    counts = [len(options) for options in occurrences]
     pointers = [occurrences[value][z % counts[value]]
                 for value, z in zip(pixels, rng.outputs(len(pixels)))]
     return PointerGrid(image.width, image.height, tuple(pointers))

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import random_image
-from dnamagic.cipher import deserialize
+from dnamagic.cipher import CipherImage, deserialize, serialize
 from dnamagic.cli import run
 from dnamagic.imageio import PlainImage, read_pgm, write_pgm
 
@@ -201,6 +201,33 @@ def test_analyze_reports_undefined_correlation_of_constant_image_as_nan(workdir,
     assert rows[1:4] == ["plain_correlation,horizontal,nan", "plain_correlation,vertical,nan",
                          "plain_correlation,diagonal,nan"]
     assert len(rows) == 11
+
+
+def test_analyze_checks_csv_before_computing(workdir, tmp_path, capsys):
+    cipher_path = tmp_path / "csvdir.dmc"
+    key = str(workdir / "key.fasta")
+    assert run(["encrypt", "--in", str(workdir / "sample.pgm"), "--key", key,
+                "--out", str(cipher_path), "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert run(["analyze", "--plain", str(workdir / "sample.pgm"), "--cipher", str(cipher_path),
+                "--key", key, "--seed", "1", "--csv", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("IsADirectoryError: ")
+
+
+def test_analyze_failing_after_opening_csv_leaves_it_empty(tmp_path, capsys):
+    # a one-pixel-wide image has no horizontal pair, which fails after --csv is opened
+    plain_path = tmp_path / "column.pgm"
+    plain_path.write_bytes(write_pgm(PlainImage(1, 4, bytes(4))))
+    cipher_path = tmp_path / "column.dmc"
+    cipher_path.write_bytes(serialize(CipherImage(4, 4, tuple(range(16)))))
+    csv_path = tmp_path / "report.csv"
+    csv_path.write_text("stale\n")
+    assert run(["analyze", "--plain", str(plain_path), "--cipher", str(cipher_path),
+                "--seed", "1", "--csv", str(csv_path)]) == 2
+    assert "no adjacent horizontal pair" in capsys.readouterr().err
+    assert csv_path.read_text() == ""
 
 
 @pytest.mark.parametrize("flag,value", [("--sample-n", "1"), ("--sample-n", "1048577"),

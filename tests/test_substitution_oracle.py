@@ -6,8 +6,9 @@ implementations, kept verbatim as the reference: they take and return
 same pointers from the same stream, decode the same pixels, and fail with the
 same error type and attributes, for random images, seeds and keys whose
 occurrence lists include singletons and empty lists.  The block-drawn
-`RandomStream.outputs` must equal one `next64` call per value, across block
-boundaries and across the wrap of the state past 2**64.
+`RandomStream.outputs` and `RandomStream.next64` share one mix; both must
+equal the frozen scalar generator `OracleStream`, across block boundaries and
+across the wrap of the state past 2**64.
 """
 
 import random
@@ -131,17 +132,39 @@ def test_reverse_substitute_matches_frozen_oracle(grid):
     assert new == old
 
 
-GAMMA = 0x9E3779B97F4B7C15
-# 2**64 - 1 and 2**64 - GAMMA wrap the state on the first and second draw
-SEEDS = [0, 1, (1 << 64) - 1, (1 << 64) - GAMMA, random.Random(4096).getrandbits(64)]
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4B7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+class OracleStream:
+    """The scalar splitmix64 generator as first written, kept verbatim."""
+
+    def __init__(self, seed: int):
+        self._state = seed
+
+    def next64(self) -> int:
+        """Next raw 64-bit output."""
+        self._state = (self._state + _GAMMA) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
+
+
+# 2**64 - 1 and 2**64 - _GAMMA wrap the state on the first and second draw
+SEEDS = [0, 1, (1 << 64) - 1, (1 << 64) - _GAMMA, random.Random(4096).getrandbits(64)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193, 12293])
 def test_outputs_match_next64_calls(seed, n):
-    blocked, serial = RandomStream(seed), RandomStream(seed)
-    assert list(blocked.outputs(n)) == [serial.next64() for _ in range(n)]
-    assert blocked.next64() == serial.next64()
+    blocked, serial, oracle = RandomStream(seed), RandomStream(seed), OracleStream(seed)
+    expected = [oracle.next64() for _ in range(n)]
+    assert list(blocked.outputs(n)) == expected
+    assert [serial.next64() for _ in range(n)] == expected
+    assert blocked.next64() == serial.next64() == oracle.next64()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -149,6 +172,16 @@ def test_outputs_match_next64_calls(seed, n):
 def test_substitute_matches_frozen_oracle_past_one_block(width, height, seed):
     image = random_image(random.Random(width * height), width, height)
     key = stub_key({0: (5,), 1: (3, 9), 2: (11, 12, 13)})
+    new_rng, old_rng = RandomStream(seed), RandomStream(seed)
+    assert substitute(image, key, new_rng) == oracle_substitute(synthesize(image), key, old_rng)
+    assert new_rng.next64() == old_rng.next64()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uncovered_word_the_image_never_uses_is_no_error(seed):
+    image = random_image(random.Random(7), 91, 90)
+    image = PlainImage(91, 90, image.pixels.replace(b"\x07", b"\x08"))
+    key = stub_key({7: ()})
     new_rng, old_rng = RandomStream(seed), RandomStream(seed)
     assert substitute(image, key, new_rng) == oracle_substitute(synthesize(image), key, old_rng)
     assert new_rng.next64() == old_rng.next64()
