@@ -35,20 +35,11 @@ _HEADER = struct.Struct("<4sBBII")
 
 
 @dataclass(frozen=True)
-class CipherImage:
+class CipherImage(PointerGrid):
     """Scrambled pointer grid with container metadata."""
 
-    width: int
-    height: int
-    pointers: tuple[int, ...]
     flags: int = 0
     fingerprint: int | None = None
-
-    def __post_init__(self):
-        if len(self.pointers) != self.width * self.height:
-            raise ValueError(
-                f"cell count {len(self.pointers)} does not match {self.width}x{self.height}"
-            )
 
 
 def _check_dimensions(width: int, height: int) -> None:

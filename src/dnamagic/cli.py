@@ -1,7 +1,7 @@
 """Command-line front end: encrypt, decrypt, analyze, attack, magic, keyinfo.
 
-Exit codes: 0 success, 1 usage error, 2 data or contract error (printed to
-stderr as "ErrorName: detail").
+Exit codes: 0 success, 1 usage error, 2 data or contract error, or a warning
+the interpreter turns into an error (printed to stderr as "ErrorName: detail").
 """
 
 import argparse
@@ -257,7 +257,8 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except (DnamagicError, ValueError, OSError) as exc:
+    # a Warning arrives here only when the interpreter turns it into an error
+    except (DnamagicError, ValueError, OSError, Warning) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

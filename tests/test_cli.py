@@ -2,14 +2,22 @@
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import random_image
-from dnamagic.cipher import CipherImage, deserialize, serialize
+from conftest import random_bases, random_image
+from dnamagic.cipher import CipherImage, decrypt, deserialize, serialize
 from dnamagic.cli import run
 from dnamagic.imageio import PlainImage, read_pgm, write_pgm
+from dnamagic.reference import (MIN_KEY_LENGTH, NucleotideSequence, SingleOccurrenceWarning,
+                                build_key, parse_fasta, scan_index)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -336,3 +344,53 @@ def test_decrypted_file_parses_back(workdir):
     run(["decrypt", "--in", str(cipher_path), "--key", str(workdir / "key.fasta"),
          "--out", str(plain_path)])
     assert read_pgm(plain_path.read_bytes()) == img
+
+
+@pytest.fixture(scope="module")
+def lonely_key(tmp_path_factory):
+    """A covering key in which GGGG starts exactly one window position, on disk."""
+    bases = random_bases(random.Random(5151), MIN_KEY_LENGTH).replace("GGGG", "GGGA")
+    bases = bases[:999] + "AGGGGA" + bases[1005:]  # the A guards stop the run at four
+    occurrences = scan_index(NucleotideSequence(bases)).occurrences
+    assert occurrences[0xFF] == (1000,) and all(occurrences)
+    path = tmp_path_factory.mktemp("lonely") / "key.fasta"
+    path.write_text(">lonely GGGG\n" + bases + "\n")
+    return path
+
+
+def _encrypt_in_subprocess(workdir, key_path, out, *python_flags) -> subprocess.CompletedProcess:
+    """`dnamagic encrypt` in a fresh interpreter, under the default warning filters
+    unless python_flags change them."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *python_flags, "-m", "dnamagic.cli", "encrypt",
+                           "--in", str(workdir / "sample.pgm"), "--key", str(key_path),
+                           "--out", str(out), "--seed", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_key_warning_turned_into_an_error_exits_2(workdir, lonely_key, tmp_path, capsys):
+    # this suite turns every warning into an error, as `python -W error` does
+    assert run(["encrypt", "--in", str(workdir / "sample.pgm"), "--key", str(lonely_key),
+                "--out", str(tmp_path / "o.dmc"), "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "SingleOccurrenceWarning: quads occurring only once in the key window: GGGG;")
+    assert not (tmp_path / "o.dmc").exists()
+
+
+def test_key_warning_is_printed_and_encrypt_succeeds(workdir, lonely_key, tmp_path):
+    out = tmp_path / "o.dmc"
+    result = _encrypt_in_subprocess(workdir, lonely_key, out)
+    assert result.returncode == 0, result.stderr
+    assert "SingleOccurrenceWarning" in result.stderr
+    with pytest.warns(SingleOccurrenceWarning):
+        key = build_key(parse_fasta(lonely_key.read_bytes()))
+    image = read_pgm((workdir / "sample.pgm").read_bytes())
+    assert decrypt(deserialize(out.read_bytes()), key) == image
+
+
+def test_key_warning_under_w_error_exits_2_without_a_traceback(workdir, lonely_key, tmp_path):
+    result = _encrypt_in_subprocess(workdir, lonely_key, tmp_path / "o.dmc", "-W", "error")
+    assert result.returncode == 2
+    assert result.stderr.startswith("SingleOccurrenceWarning: ")
+    assert "Traceback" not in result.stderr
