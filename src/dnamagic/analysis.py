@@ -92,8 +92,11 @@ def adjacent_correlation(cells: Sequence[int], width: int, height: int, directio
     """Correlation of sample_n neighbour pairs drawn uniformly with replacement.
 
     direction is one of "horizontal", "vertical", "diagonal"; only anchors
-    whose neighbour exists are sampled (one draw per pair).
+    whose neighbour exists are sampled (one draw per pair).  cells must hold
+    exactly width * height values, row-major.
     """
+    if len(cells) != width * height:
+        raise LengthMismatch(width * height, len(cells))
     if direction not in _OFFSETS:
         raise ValueError(f"unknown direction {direction!r}")
     if sample_n < 2:

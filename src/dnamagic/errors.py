@@ -2,43 +2,56 @@
 
 
 class DnamagicError(Exception):
-    """Base class for every error this package raises on bad data or misuse."""
+    """Base class for every error this package raises on bad data or misuse.
+
+    A subclass declares its positional `fields` and a str.format `message` over
+    them; the arguments are kept as attributes and as `args`, so errors pickle.
+    """
+
+    fields: tuple[str, ...] = ()
+    message = ""
+
+    def __init__(self, *values):
+        if len(values) != len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self.fields)} arguments "
+                            f"{self.fields}, got {len(values)}")
+        super().__init__(*values)
+        for name, value in zip(self.fields, values):
+            setattr(self, name, value)
+
+    def __str__(self) -> str:
+        return self.message.format_map(vars(self))
 
 
 class MalformedHeader(DnamagicError):
     """PGM header is syntactically broken (bad magic, token, or dimension)."""
 
+    fields = ("reason",)
+    message = "{reason}"
+
 
 class UnsupportedMaxval(DnamagicError):
-    def __init__(self, maxval: int):
-        self.maxval = maxval
-        super().__init__(f"only maxval 255 is supported, got {maxval}")
+    fields = ("maxval",)
+    message = "only maxval 255 is supported, got {maxval}"
 
 
 class TruncatedPayload(DnamagicError):
-    def __init__(self, expected: int, actual: int):
-        self.expected = expected
-        self.actual = actual
-        super().__init__(f"payload truncated: expected {expected}, got {actual}")
+    fields = ("expected", "actual")
+    message = "payload truncated: expected {expected}, got {actual}"
 
 
 class InvalidSymbol(DnamagicError):
-    def __init__(self, position: int, char: str):
-        self.position = position
-        self.char = char
-        super().__init__(f"invalid symbol {char!r} at input offset {position}")
+    fields = ("position", "char")
+    message = "invalid symbol {char!r} at input offset {position}"
 
 
 class EmptySequence(DnamagicError):
-    def __init__(self) -> None:
-        super().__init__("no bases found in input")
+    message = "no bases found in input"
 
 
 class SequenceTooShort(DnamagicError):
-    def __init__(self, actual_length: int, required: int):
-        self.actual_length = actual_length
-        self.required = required
-        super().__init__(f"key sequence has {actual_length} bases, need at least {required}")
+    fields = ("actual_length", "required")
+    message = "key sequence has {actual_length} bases, need at least {required}"
 
 
 def list_quads(quads: list[str]) -> str:
@@ -50,75 +63,60 @@ class QuadCoverageError(DnamagicError):
     """The key sequence never contains some 4-base words, so it cannot encrypt
     every possible pixel value."""
 
+    fields = ("missing",)
+
     def __init__(self, missing: list[str]):
-        self.missing = list(missing)
-        super().__init__(
-            f"{len(self.missing)} quads never occur in the key window: {list_quads(self.missing)}"
-        )
+        super().__init__(list(missing))
+
+    def __str__(self) -> str:
+        return f"{len(self.missing)} quads never occur in the key window: {list_quads(self.missing)}"
 
 
 class NotDoublyEven(DnamagicError):
-    def __init__(self, order: int):
-        self.order = order
-        super().__init__(f"order must be a multiple of 4 and at least 4, got {order}")
+    fields = ("order",)
+    message = "order must be a multiple of 4 and at least 4, got {order}"
 
 
 class OrderTooLarge(DnamagicError):
-    def __init__(self, order: int, limit: int):
-        self.order = order
-        self.limit = limit
-        super().__init__(f"order {order} exceeds the limit of {limit}")
+    fields = ("order", "limit")
+    message = "order {order} exceeds the limit of {limit}"
 
 
 class LengthMismatch(DnamagicError):
-    def __init__(self, expected: int, actual: int):
-        self.expected = expected
-        self.actual = actual
-        super().__init__(f"length mismatch: expected {expected}, got {actual}")
+    fields = ("expected", "actual")
+    message = "length mismatch: expected {expected}, got {actual}"
 
 
 class QuadNotCovered(DnamagicError):
-    def __init__(self, quad: str):
-        self.quad = quad
-        super().__init__(f"quad {quad} has no occurrence in the key window")
+    fields = ("quad",)
+    message = "quad {quad} has no occurrence in the key window"
 
 
 class PointerOutOfRange(DnamagicError):
-    def __init__(self, index: int, value: int):
-        self.index = index
-        self.value = value
-        super().__init__(f"pointer {value} at cell {index} lies outside the key window")
+    fields = ("index", "value")
+    message = "pointer {value} at cell {index} lies outside the key window"
 
 
 class DimensionError(DnamagicError):
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        super().__init__(f"image must be square with side a positive multiple of 4, got {width}x{height}")
+    fields = ("width", "height")
+    message = "image must be square with side a positive multiple of 4, got {width}x{height}"
 
 
 class WrongKey(DnamagicError):
-    def __init__(self, embedded: int, computed: int):
-        self.embedded = embedded
-        self.computed = computed
-        super().__init__(
-            f"ciphertext fingerprint 0x{embedded:016x} does not match key fingerprint 0x{computed:016x}"
-        )
+    fields = ("embedded", "computed")
+    message = "ciphertext fingerprint 0x{embedded:016x} does not match key fingerprint 0x{computed:016x}"
 
 
 class BadMagic(DnamagicError):
-    def __init__(self, found: bytes):
-        self.found = found
-        super().__init__(f"not a DMC1 container (leading bytes {found!r})")
+    fields = ("found",)
+    message = "not a DMC1 container (leading bytes {found!r})"
 
 
 class UnsupportedVersion(DnamagicError):
-    def __init__(self, version: int):
-        self.version = version
-        super().__init__(f"unsupported container version {version}")
+    fields = ("version",)
+    message = "unsupported container version {version}"
 
 
 class ZeroVariance(DnamagicError):
-    def __init__(self, which: str):
-        self.which = which
-        super().__init__(f"series {which} has zero variance, correlation is undefined")
+    fields = ("which",)
+    message = "series {which} has zero variance, correlation is undefined"

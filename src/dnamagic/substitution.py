@@ -4,6 +4,7 @@ pointed-to position inverts it for any choice of randomness.
 """
 
 import os
+import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -24,19 +25,11 @@ _MIX2 = 0x94D049BB133111EB
 _BLOCK = 4096
 _LANE_BITS = 128
 
-
-def _counting_lanes() -> int:
-    """One int holding k + 1 in lane k (bits 128k..128k+63), for k < _BLOCK."""
-    words = array("Q", bytes(_LANE_BITS // 8 * _BLOCK))
-    words[::2] = array("Q", range(1, _BLOCK + 1))
-    if sys.byteorder == "big":
-        words.byteswap()
-    return int.from_bytes(words, "little")
-
-
 _ONES = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")  # 1 in every lane
 _LOW64 = _ONES * _MASK64
-_STEPS = (_counting_lanes() * _GAMMA) & _LOW64  # lane k: (k+1)*gamma mod 2**64
+# lane k: (k+1)*gamma mod 2**64, from a little-endian Q and 8 pad bytes per lane
+_STEPS = (int.from_bytes(struct.pack("<" + "Q8x" * _BLOCK, *range(1, _BLOCK + 1)), "little")
+          * _GAMMA) & _LOW64
 
 
 def _mix(z: int, low: int) -> int:

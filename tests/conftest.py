@@ -1,8 +1,9 @@
+import pickle
 import random
 
 import pytest
 
-from dnamagic.errors import NotDoublyEven, OrderTooLarge
+from dnamagic.errors import DnamagicError, NotDoublyEven, OrderTooLarge
 from dnamagic.imageio import PlainImage
 from dnamagic.magic_square import MAX_ORDER, MagicSquare
 from dnamagic.reference import NucleotideSequence, build_key
@@ -17,6 +18,22 @@ def random_bases(rng: random.Random, length: int) -> str:
 def random_image(rng: random.Random, width: int, height: int | None = None) -> PlainImage:
     height = width if height is None else height
     return PlainImage(width, height, rng.randbytes(width * height))
+
+
+def error_classes() -> list[type[DnamagicError]]:
+    """Every DnamagicError subclass, found recursively, so a new one is covered too."""
+    found, todo = [], [DnamagicError]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        found += subs
+        todo += subs
+    return found
+
+
+def assert_pickles(exc: DnamagicError) -> None:
+    """The error survives pickle with the same type, attributes and message."""
+    back = pickle.loads(pickle.dumps(exc))
+    assert (type(back), vars(back), str(back)) == (type(exc), vars(exc), str(exc))
 
 
 # Frozen copy of the nested-loop magic-square constructor that the library

@@ -148,6 +148,13 @@ def test_adjacent_correlation_argument_errors():
         adjacent_correlation(bytes(8), 8, 1, "vertical", 16, RandomStream(3))
 
 
+@pytest.mark.parametrize("count", [3, 100])
+def test_adjacent_correlation_needs_one_cell_per_grid_position(count):
+    cells = list(range(1, count + 1))
+    with pytest.raises(LengthMismatch, match=f"^length mismatch: expected 16, got {count}$"):
+        adjacent_correlation(cells, 4, 4, "horizontal", 64, RandomStream(4))
+
+
 def test_sampling_is_seed_deterministic():
     rng = random.Random(25)
     img = random_image(rng, 16)

@@ -2,10 +2,11 @@
 DnamagicError.
 
 `read_pgm` returns a PlainImage and `deserialize` a CipherImage, or each
-raises a DnamagicError, and `dnamagic decrypt`, `analyze` (on either input)
-and `attack` on the same bytes exit 0, 1 or 2 without raising.  Inputs are
-arbitrary bytes, PGM files built from header tokens, `DMC1`-prefixed bytes,
-and 8x8 PGM and DMC1 files with a span of bytes replaced.
+raises a DnamagicError that survives pickle with an equal message, and
+`dnamagic decrypt`, `analyze` (on either input) and `attack` on the same
+bytes exit 0, 1 or 2 without raising.  Inputs are arbitrary bytes, PGM
+files built from header tokens, `DMC1`-prefixed bytes, and 8x8 PGM and DMC1
+files with a span of bytes replaced.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_image
+from conftest import assert_pickles, random_image
 from dnamagic.cipher import CipherImage, deserialize, encrypt, serialize
 from dnamagic.cli import run
 from dnamagic.errors import DnamagicError
@@ -64,7 +65,8 @@ def dmc1_files(blob: bytes):
 def test_read_pgm_returns_an_image_or_a_dnamagic_error(data):
     try:
         image = read_pgm(data)
-    except DnamagicError:
+    except DnamagicError as exc:
+        assert_pickles(exc)
         return
     assert isinstance(image, PlainImage)
 
@@ -75,7 +77,8 @@ def test_deserialize_returns_a_cipher_or_a_dnamagic_error(files, data):
     blob = data.draw(dmc1_files((files / "cipher.dmc").read_bytes()))
     try:
         cipher = deserialize(blob)
-    except DnamagicError:
+    except DnamagicError as exc:
+        assert_pickles(exc)
         return
     assert isinstance(cipher, CipherImage)
 

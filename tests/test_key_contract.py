@@ -1,9 +1,10 @@
 """Contract fuzz for key files: any bytes end in a value or a DnamagicError.
 
 `parse_fasta` in either mode returns a NucleotideSequence or raises a
-DnamagicError, and `dnamagic keyinfo` on the same bytes exits 0, 1 or 2
-without raising.  Inputs include arbitrary bytes, header-shaped ones and
-files long enough to pass the key-length check.
+DnamagicError that survives pickle with an equal message, and `dnamagic
+keyinfo` on the same bytes exits 0, 1 or 2 without raising.  Inputs include
+arbitrary bytes, header-shaped ones and files long enough to pass the
+key-length check.
 """
 
 import random
@@ -11,7 +12,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bases
+from conftest import assert_pickles, random_bases
 from dnamagic.cli import run
 from dnamagic.errors import DnamagicError
 from dnamagic.reference import MIN_KEY_LENGTH, NucleotideSequence, parse_fasta
@@ -30,7 +31,8 @@ key_files = st.tuples(noise, st.sampled_from([b"", KEY_BODY]), noise).map(b"".jo
 def test_parse_fasta_returns_a_sequence_or_a_dnamagic_error(data, mode):
     try:
         seq = parse_fasta(data, mode)
-    except DnamagicError:
+    except DnamagicError as exc:
+        assert_pickles(exc)
         return
     assert isinstance(seq, NucleotideSequence)
 

@@ -1,11 +1,13 @@
 """The public API is pinned: removing or renaming a public name, reordering
-the container's fields or changing its repr is a deliberate edit here."""
+the container's fields, changing its repr or renaming an error's attribute is
+a deliberate edit here."""
 
 import dataclasses
 
 import pytest
 
 import dnamagic
+from conftest import error_classes
 from dnamagic import CipherImage, PointerGrid
 
 PUBLIC_NAMES = [
@@ -45,3 +47,22 @@ def test_cipher_image_is_a_pointer_grid_that_never_equals_one():
     assert hash(CipherImage(4, 4, cells)) == hash(CipherImage(4, 4, cells))
     with pytest.raises(ValueError, match="^pointer count 15 does not match 4x4$"):
         CipherImage(4, 4, cells[:15])
+
+
+ERROR_ATTRIBUTES = {
+    "BadMagic": ("found",), "DimensionError": ("width", "height"),
+    "EmptySequence": (), "InvalidSymbol": ("position", "char"),
+    "LengthMismatch": ("expected", "actual"), "MalformedHeader": ("reason",),
+    "NotDoublyEven": ("order",), "OrderTooLarge": ("order", "limit"),
+    "PointerOutOfRange": ("index", "value"), "QuadCoverageError": ("missing",),
+    "QuadNotCovered": ("quad",), "SequenceTooShort": ("actual_length", "required"),
+    "TruncatedPayload": ("expected", "actual"), "UnsupportedMaxval": ("maxval",),
+    "UnsupportedVersion": ("version",), "WrongKey": ("embedded", "computed"),
+    "ZeroVariance": ("which",),
+}
+
+
+def test_error_attribute_names_are_pinned():
+    """Each error class's public attributes, in positional-argument order."""
+    found = {cls.__name__: tuple(vars(cls(*[()] * len(cls.fields)))) for cls in error_classes()}
+    assert found == ERROR_ATTRIBUTES
