@@ -26,7 +26,7 @@ from .magic_square import scramble_square
 from .dna import resynthesize, synthesize  # noqa: F401
 from .magic_square import generate_doubly_even, scramble, to_permutation, unscramble  # noqa: F401
 from .reference import ReferenceKey
-from .substitution import PointerGrid, RandomStream, reverse_substitute, substitute
+from .substitution import Cells, PointerGrid, RandomStream, reverse_substitute, substitute
 
 CONTAINER_MAGIC = b"DMC1"
 CONTAINER_VERSION = 1
@@ -53,7 +53,7 @@ def encrypt(image: PlainImage, key: ReferenceKey, rng: RandomStream,
     _check_dimensions(image.width, image.height)
     # the square is public structure derived from the side length, never
     # stored in the container and never key material
-    scrambled = tuple(scramble_square(substitute(image, key, rng).pointers, image.width))
+    scrambled = scramble_square(substitute(image, key, rng).pointers.buffer, image.width)
     if include_fingerprint:
         return CipherImage(image.width, image.height, scrambled, FLAG_FINGERPRINT, key.fingerprint)
     return CipherImage(image.width, image.height, scrambled)
@@ -66,9 +66,12 @@ def decrypt(cipher: CipherImage, key: ReferenceKey) -> PlainImage:
     _check_dimensions(cipher.width, cipher.height)
     if cipher.flags & FLAG_FINGERPRINT and cipher.fingerprint != key.fingerprint:
         raise WrongKey(cipher.fingerprint or 0, key.fingerprint)
-    # the scramble is its own inverse
-    grid = PointerGrid(cipher.width, cipher.height,
-                       tuple(scramble_square(cipher.pointers, cipher.width)))
+    # the scramble is its own inverse; cells that do not fit 16 bits were
+    # kept as given, and reverse_substitute rejects them
+    pointers = cipher.pointers
+    if isinstance(pointers, Cells):
+        pointers = pointers.buffer
+    grid = PointerGrid(cipher.width, cipher.height, scramble_square(pointers, cipher.width))
     return reverse_substitute(grid, key)
 
 
@@ -94,7 +97,10 @@ def serialize(cipher: CipherImage) -> bytes:
              _pack("<I", "height", (cipher.height,))]
     if cipher.fingerprint is not None:
         parts.append(_pack("<Q", "fingerprint", (cipher.fingerprint,)))
-    parts.append(_pack(f"<{len(cipher.pointers)}H", "cell", cipher.pointers))
+    if isinstance(cipher.pointers, Cells):
+        parts.append(cipher.pointers.tobytes())
+    else:
+        parts.append(_pack(f"<{len(cipher.pointers)}H", "cell", cipher.pointers))
     return b"".join(parts)
 
 
@@ -118,5 +124,5 @@ def deserialize(data: bytes) -> CipherImage:
     count = width * height
     if len(data) < pos + 2 * count:
         raise TruncatedPayload(pos + 2 * count, len(data))
-    pointers = struct.unpack_from(f"<{count}H", data, pos)
+    pointers = Cells.frombytes(memoryview(data)[pos:pos + 2 * count])
     return CipherImage(width, height, pointers, flags, fingerprint)

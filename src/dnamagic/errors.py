@@ -20,7 +20,18 @@ class DnamagicError(Exception):
             setattr(self, name, value)
 
     def __str__(self) -> str:
-        return self.message.format_map(vars(self))
+        shown = {name: _printable(value) for name, value in vars(self).items()}
+        return self.message.format_map(shown)
+
+
+def _printable(value):
+    """value, or a stand-in for an int with more digits than str() may write."""
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            return f"<{value.bit_length()}-bit integer>"
+    return value
 
 
 class MalformedHeader(DnamagicError):

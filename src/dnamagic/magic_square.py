@@ -1,5 +1,6 @@
 """Doubly-even magic squares and the cell permutations they induce."""
 
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,7 +76,7 @@ def unscramble(grid: Sequence, perm: Permutation) -> list:
     return [grid[dst] for dst in perm.forward]
 
 
-def scramble_square(grid: Sequence, n: int) -> list:
+def scramble_square(grid: Sequence, n: int) -> array | list:
     """The magic-square permutation of an order-n grid, in closed form.
 
     Cell k = i*n + j moves to n^2-1-k exactly when i % 4 and j % 4 are both
@@ -83,12 +84,13 @@ def scramble_square(grid: Sequence, n: int) -> list:
     under k -> n^2-1-k, so the map is its own inverse and this one call both
     scrambles and unscrambles.  Applied to 1..n^2 it gives the cells of
     generate_doubly_even(n), whose value v in cell k sends k to v-1.
+    An array comes back as an array of its type, any other sequence as a list.
     """
     if n < 4 or n % 4 != 0:
         raise NotDoublyEven(n)
     if len(grid) != n * n:
         raise LengthMismatch(n * n, len(grid))
-    out = list(grid)
+    out = grid[:] if isinstance(grid, array) else list(grid)
     reversed_grid = out[::-1]
     for i in range(n):
         row = i * n

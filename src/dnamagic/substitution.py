@@ -7,7 +7,9 @@ import os
 import struct
 import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .dna import BYTE_TO_QUAD
 from .errors import PointerOutOfRange, QuadNotCovered
@@ -89,19 +91,88 @@ class RandomStream:
         return self.next64() % n
 
 
+class Cells(Sequence):
+    """Immutable row-major cells held in one uint16 buffer.
+
+    Equal to, hashed like and shown as the tuple of its values, so a grid
+    reads the same whichever way it was built.
+    """
+
+    __slots__ = ("buffer",)
+
+    def __init__(self, buffer: array):
+        self.buffer = buffer  # array('H'); never written after construction
+
+    @classmethod
+    def frombytes(cls, data) -> "Cells":
+        """Cells read from little-endian 16-bit bytes."""
+        buffer = array("H")
+        buffer.frombytes(data)
+        if sys.byteorder == "big":
+            buffer.byteswap()
+        return cls(buffer)
+
+    def tobytes(self) -> bytes:
+        """The cells as little-endian 16-bit bytes."""
+        if sys.byteorder == "big":
+            swapped = self.buffer[:]
+            swapped.byteswap()
+            return swapped.tobytes()
+        return self.buffer.tobytes()
+
+    def __len__(self) -> int:
+        return len(self.buffer)
+
+    def __getitem__(self, index):
+        item = self.buffer[index]
+        return Cells(item) if isinstance(index, slice) else item
+
+    def __iter__(self):
+        return iter(self.buffer)
+
+    def __eq__(self, other):
+        if isinstance(other, Cells):
+            return self.buffer == other.buffer
+        if isinstance(other, tuple):
+            return tuple(self.buffer) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.buffer))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self.buffer))
+
+    def __reduce__(self):
+        return Cells, (self.buffer,)
+
+
 @dataclass(frozen=True)
 class PointerGrid:
-    """Row-major grid of 16-bit positions into the key window."""
+    """Row-major grid of 16-bit positions into the key window.
+
+    Cells that all fit 0..65535 are stored as one uint16 buffer (Cells);
+    any others are kept as given, for reverse_substitute or serialize to reject.
+    """
 
     width: int
     height: int
-    pointers: tuple[int, ...]
+    pointers: Sequence[int]
 
     def __post_init__(self):
         if len(self.pointers) != self.width * self.height:
             raise ValueError(
                 f"pointer count {len(self.pointers)} does not match {self.width}x{self.height}"
             )
+        if not isinstance(self.pointers, Cells):
+            buffer = array("H")
+            try:
+                # extend copies a uint16 array whole and reads bytes as one cell
+                # per byte, where array("H", bytes) would pair them up
+                buffer.extend(self.pointers)
+            except (OverflowError, TypeError):
+                return
+            object.__setattr__(self, "pointers", Cells(buffer))
 
 
 def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> PointerGrid:
@@ -120,16 +191,24 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
         first = min(map(pixels.index, uncovered))
         rng.outputs(first)  # the cells before it still draw
         raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
-    pointers = [occurrences[value][z % counts[value]]
-                for value, z in zip(pixels, rng.outputs(len(pixels)))]
-    return PointerGrid(image.width, image.height, tuple(pointers))
+    pointers = array("H", [occurrences[value][z % counts[value]]
+                           for value, z in zip(pixels, rng.outputs(len(pixels)))])
+    return PointerGrid(image.width, image.height, pointers)
 
 
 def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:
     """Read back the pixel whose word each pointer names; inverts substitute for any randomness."""
     pointers = grid.pointers
-    if pointers and (min(pointers) < 0 or max(pointers) >= WINDOW_STARTS):
+    if isinstance(pointers, Cells):
+        # a uint16 cell cannot leave the 65536-position window
+        pointers = pointers.buffer
+    elif pointers and (min(pointers) < 0 or max(pointers) >= WINDOW_STARTS):
         index = next(i for i, p in enumerate(pointers) if not 0 <= p < WINDOW_STARTS)
         raise PointerOutOfRange(index, pointers[index])
     table = pixel_table(key.sequence.bases)
-    return PlainImage(grid.width, grid.height, bytes(map(table.__getitem__, pointers)))
+    if len(pointers) < 2:
+        # itemgetter of one index returns a scalar, and of none raises
+        pixels = bytes(table[p] for p in pointers)
+    else:
+        pixels = bytes(itemgetter(*pointers)(table))
+    return PlainImage(grid.width, grid.height, pixels)

@@ -1,6 +1,12 @@
 """Encrypt/decrypt pipelines and the DMC1 container."""
 
+import copy
+import multiprocessing
+import pickle
 import random
+import struct
+import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -199,3 +205,40 @@ def test_serialize_rejects_values_dmc1_cannot_hold(cipher, field):
 def test_cipher_image_validates_cell_count():
     with pytest.raises(ValueError):
         CipherImage(4, 4, tuple(range(15)))
+
+
+def test_cipher_image_survives_copy_deepcopy_and_pickle():
+    cip = CipherImage(4, 4, tuple(range(60000, 60016)), 1, 99)
+    copies = [copy.copy(cip), copy.deepcopy(cip)]
+    copies += [pickle.loads(pickle.dumps(cip, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in copies:
+        assert back == cip and hash(back) == hash(cip) and repr(back) == repr(cip)
+
+
+def test_deserialize_in_a_spawned_worker_matches_in_process():
+    blob = serialize(CipherImage(8, 8, tuple(range(1000, 1064)), 1, 42))
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=context) as pool:
+        remote = pool.submit(deserialize, blob).result(timeout=60)
+    assert remote == deserialize(blob)
+
+
+def test_deserialize_reads_bytes_bytearray_and_memoryview_alike():
+    blob = serialize(CipherImage(4, 4, tuple(range(65520, 65536)), 1, 7))
+    expected = deserialize(blob)
+    for data in (bytearray(blob), memoryview(blob), memoryview(blob + b"junk")):
+        assert deserialize(data) == expected
+    with pytest.raises(TruncatedPayload):
+        deserialize(memoryview(blob)[:-1])
+
+
+def test_payload_is_byte_swapped_exactly_on_big_endian_hosts(monkeypatch):
+    cells = tuple(range(258, 274))
+    cip = CipherImage(4, 4, cells)
+    assert serialize(cip)[14:] == struct.pack("<16H", *cells)
+    # claiming the other byte order flips the native layout the buffer has,
+    # which on either host gives big-endian bytes
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    assert serialize(cip)[14:] == struct.pack(">16H", *cells)
+    assert deserialize(serialize(cip)) == cip

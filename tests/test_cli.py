@@ -112,6 +112,17 @@ def test_encrypt_rejects_bad_dimensions(workdir, tmp_path, capsys):
     assert "DimensionError" in capsys.readouterr().err
 
 
+def test_header_whose_pixel_count_str_cannot_write_fails_cleanly(workdir, tmp_path, capsys):
+    # each side fits str(), their product does not
+    huge = tmp_path / "huge.pgm"
+    huge.write_bytes(b"P5 " + b"1" * 3000 + b" " + b"1" * 3000 + b" 255 ")
+    code = run(["encrypt", "--in", str(huge), "--key", str(workdir / "key.fasta"),
+                "--out", str(tmp_path / "x.dmc")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "TruncatedPayload: payload truncated: expected <19926-bit integer>, got 0\n")
+
+
 def test_fingerprint_flag_detects_wrong_key(workdir, tmp_path, capsys):
     rng = random.Random(32)
     other_key = tmp_path / "other.fasta"

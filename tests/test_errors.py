@@ -119,3 +119,8 @@ def test_error_raised_in_a_worker_process_reaches_the_caller():
             future.result(timeout=60)
     assert isinstance(caught.value, DnamagicError)
     assert caught.value.actual == 4
+
+
+def test_an_int_too_long_for_str_reads_as_its_bit_length():
+    assert str(TruncatedPayload(10**5000, 3)) == (
+        "payload truncated: expected <16610-bit integer>, got 3")

@@ -2,8 +2,11 @@
 
 import random
 import tracemalloc
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_doubly_even
 from dnamagic.errors import LengthMismatch, NotDoublyEven, OrderTooLarge
@@ -128,6 +131,19 @@ def test_scramble_preserves_multiset():
     perm = to_permutation(generate_doubly_even(8))
     grid = [rng.randrange(100) for _ in range(64)]
     assert sorted(scramble(grid, perm)) == sorted(grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from(range(4, 65, 4)), seed=st.integers(0, 2**32))
+def test_scramble_square_keeps_a_uint16_array_an_array(n, seed):
+    rng = random.Random(seed)
+    grid = [rng.randrange(65536) for _ in range(n * n)]
+    out = scramble_square(array("H", grid), n)
+    assert isinstance(out, array) and out.typecode == "H"
+    assert out == array("H", scramble_square(list(grid), n))
+    assert scramble_square(out, n) == array("H", grid)
+    assert all(type(scramble_square(cells, n)) is list
+               for cells in (grid, tuple(grid), range(n * n)))
 
 
 def test_length_mismatch_rejected():

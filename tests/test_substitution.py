@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 
 import pytest
 
@@ -17,6 +18,7 @@ from dnamagic.reference import (
     WINDOW_STARTS,
 )
 from dnamagic.substitution import (
+    Cells,
     PointerGrid,
     RandomStream,
     reverse_substitute,
@@ -195,3 +197,43 @@ def test_short_hand_built_key_is_rejected_at_decode(length):
 def test_pointer_grid_validates_shape():
     with pytest.raises(ValueError):
         PointerGrid(2, 2, (1, 2, 3))
+
+
+def test_one_and_two_cell_grids_read_back_every_pixel():
+    key = _stub_key(bases=BYTE_TO_QUAD[17] + BYTE_TO_QUAD[228] + "A" * WINDOW_STARTS)
+    assert reverse_substitute(PointerGrid(1, 1, (4,)), key) == PlainImage(1, 1, bytes([228]))
+    assert reverse_substitute(PointerGrid(2, 1, (4, 0)), key) == PlainImage(2, 1, bytes([228, 17]))
+
+
+def test_empty_grid_fails_as_an_empty_image(random_key):
+    with pytest.raises(ValueError, match="^dimensions must be positive, got 0x0$"):
+        reverse_substitute(PointerGrid(0, 0, ()), random_key)
+
+
+# ---- cells as one uint16 buffer ----
+
+def test_tuple_and_buffer_built_grids_are_the_same_value():
+    cells = (0, 1, 65535, 7)
+    a = PointerGrid(2, 2, cells)
+    b = PointerGrid(2, 2, array("H", cells))
+    assert isinstance(a.pointers, Cells) and isinstance(b.pointers, Cells)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.pointers == cells and cells == a.pointers and a.pointers != list(cells)
+    assert hash(a.pointers) == hash(cells) and repr(a.pointers) == repr(cells)
+    assert a.pointers[1:3] == (1, 65535) and a.pointers[-1] == 7 and list(a.pointers) == [*cells]
+
+
+def test_grid_keeps_its_own_copy_of_a_buffer():
+    source = array("H", (1, 2, 3, 4))
+    grid = PointerGrid(2, 2, source)
+    source[0] = 9
+    assert grid.pointers == (1, 2, 3, 4)
+
+
+def test_bytes_cells_are_their_values_not_raw_uint16_pairs():
+    assert PointerGrid(2, 1, b"\x01\x02").pointers == (1, 2)
+
+
+@pytest.mark.parametrize("cells", [(3, 65536), (-1, 0), (0, 70000), (0, 2.0)])
+def test_cells_a_uint16_cannot_hold_are_kept_as_given(cells):
+    assert PointerGrid(2, 1, cells).pointers is cells
