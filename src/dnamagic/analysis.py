@@ -4,13 +4,15 @@ correlation, an XOR-replay attack harness, and differential sensitivity.
 
 import math
 from dataclasses import dataclass
+from operator import mod, ne
 from typing import Sequence
 
-from .cipher import encrypt
-from .errors import LengthMismatch, ZeroVariance
+from .cipher import _check_dimensions, encrypt
+from .dna import BYTE_TO_QUAD
+from .errors import LengthMismatch, QuadNotCovered, ZeroVariance
 from .imageio import PlainImage
 from .reference import ReferenceKey
-from .substitution import RandomStream
+from .substitution import Cells, RandomStream, first_uncovered
 
 DIRECTIONS = ("horizontal", "vertical", "diagonal")
 DEFAULT_SAMPLE_PAIRS = 4096
@@ -50,6 +52,8 @@ def histogram(values: Sequence[int]) -> Histogram:
 
 def high_bytes(pointers: Sequence[int]) -> list[int]:
     """Binning rule for 16-bit cipher cells: each contributes its high byte."""
+    if isinstance(pointers, Cells):
+        return list(pointers.tobytes()[1::2])  # little-endian: the high byte is the second
     return [p >> 8 for p in pointers]
 
 
@@ -108,6 +112,8 @@ def adjacent_correlation(cells: Sequence[int], width: int, height: int, directio
         raise ValueError(f"no adjacent {direction} pair in a {width}x{height} grid")
     if rng is None:
         rng = RandomStream()
+    if isinstance(cells, Cells):
+        cells = cells.buffer  # indexed directly, without a Python-level __getitem__ per read
     xs = []
     ys = []
     for z in rng.outputs(sample_n):
@@ -144,28 +150,47 @@ def evaluate_attack(candidate: Sequence[int], truth: Sequence[int]) -> AttackRep
     return AttackReport(bytes(candidate), fraction, "success" if fraction == 1.0 else "failure")
 
 
-def _cells_changed_by_bump(image: PlainImage, key: ReferenceKey, index: int,
-                           original_rng: RandomStream, bumped_rng: RandomStream) -> int:
-    """Cells changed by bumping pixel `index` by 1 (mod 256) and re-encrypting."""
-    bumped = bytearray(image.pixels)
-    bumped[index] = (bumped[index] + 1) % 256
-    c1 = encrypt(image, key, original_rng)
-    c2 = encrypt(PlainImage(image.width, image.height, bytes(bumped)), key, bumped_rng)
-    return sum(1 for a, b in zip(c1.pointers, c2.pointers) if a != b)
-
-
 def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
                              rng: RandomStream) -> float:
     """Mean fraction of cipher cells changed by bumping one random pixel by 1
     (mod 256), re-encrypting original and modified images with independent
-    fresh randomness each trial."""
+    fresh randomness each trial.
+
+    Each trial draws a pixel index, then the seeds of the original's and the
+    bumped image's streams, and counts the changed cells from the two streams'
+    draws without encrypting: the scramble permutes both grids alike, and
+    substitute's draw z picks occurrences[v][z % m(v)], m(v) = len(occurrences[v]).
+    As one value's positions are distinct, any cell but the bumped one changes
+    exactly when its two draws differ modulo m(pixel).
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    n = image.width * image.height
+    # the errors encrypt would raise, in the same order
+    _check_dimensions(image.width, image.height)
+    occurrences = key.index.occurrences
+    counts = [len(options) for options in occurrences]
+    pixels = image.pixels
+    first = first_uncovered(pixels, counts)
+    if first is not None:
+        raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
+    n = len(pixels)
+    moduli = [counts[value] for value in pixels]
     total = 0.0
     for _ in range(trials):
-        total += _cells_changed_by_bump(image, key, rng.randbelow(n), RandomStream(rng.next64()),
-                                        RandomStream(rng.next64())) / n
+        index = rng.randbelow(n)
+        original = RandomStream(rng.next64()).outputs(n)
+        bumped = RandomStream(rng.next64()).outputs(n)
+        value = pixels[index]
+        new_value = (value + 1) % 256
+        if not counts[new_value]:
+            raise QuadNotCovered(BYTE_TO_QUAD[new_value])
+        changed = sum(map(ne, map(mod, original, moduli), map(mod, bumped, moduli)))
+        # the bumped cell draws from another value's positions: compare its real pointers
+        z1, z2 = original[index], bumped[index]
+        changed -= z1 % counts[value] != z2 % counts[value]
+        changed += (occurrences[value][z1 % counts[value]]
+                    != occurrences[new_value][z2 % counts[new_value]])
+        total += changed / n
     return total / trials
 
 
@@ -176,4 +201,8 @@ def differential_paired_seed(image: PlainImage, key: ReferenceKey, seed: int,
     With lockstep draws only the bumped pixel's cell can change, which
     exposes the scheme's true per-pixel diffusion.
     """
-    return _cells_changed_by_bump(image, key, pixel_index, RandomStream(seed), RandomStream(seed))
+    bumped = bytearray(image.pixels)
+    bumped[pixel_index] = (bumped[pixel_index] + 1) % 256
+    c1 = encrypt(image, key, RandomStream(seed))
+    c2 = encrypt(PlainImage(image.width, image.height, bytes(bumped)), key, RandomStream(seed))
+    return sum(1 for a, b in zip(c1.pointers, c2.pointers) if a != b)

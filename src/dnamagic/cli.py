@@ -20,8 +20,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-# analyze keeps sample_n pairs per direction in memory and encrypts the image
-# twice per trial, so both are bounded to keep every run finite and small
+# analyze keeps sample_n pairs per direction in memory and draws two streams of
+# one output per cell for each trial, so both are bounded to keep every run
+# finite and small
 MAX_SAMPLE_N = 1 << 20
 MAX_TRIALS = 1000
 

@@ -175,6 +175,13 @@ class PointerGrid:
             object.__setattr__(self, "pointers", Cells(buffer))
 
 
+def first_uncovered(pixels: bytes, counts: Sequence[int]) -> int | None:
+    """Index of the first pixel whose value has no key position (counts[value] == 0), or None."""
+    # empty for keys produced by build_key, which enforces coverage
+    uncovered = [value for value, count in enumerate(counts) if not count and value in pixels]
+    return min(map(pixels.index, uncovered)) if uncovered else None
+
+
 def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> PointerGrid:
     """Replace every pixel with one of its word's key positions, drawn uniformly.
 
@@ -185,10 +192,8 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
     occurrences = key.index.occurrences
     pixels = image.pixels
     counts = [len(options) for options in occurrences]
-    # empty for keys produced by build_key, which enforces coverage
-    uncovered = [value for value, count in enumerate(counts) if not count and value in pixels]
-    if uncovered:
-        first = min(map(pixels.index, uncovered))
+    first = first_uncovered(pixels, counts)
+    if first is not None:
         rng.outputs(first)  # the cells before it still draw
         raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
     pointers = array("H", [occurrences[value][z % counts[value]]
