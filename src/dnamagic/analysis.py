@@ -3,9 +3,9 @@ correlation, an XOR-replay attack harness, and differential sensitivity.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import mod, ne
-from typing import Sequence
 
 from .cipher import _check_dimensions, encrypt
 from .dna import BYTE_TO_QUAD
@@ -161,7 +161,8 @@ def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
     draws without encrypting: the scramble permutes both grids alike, and
     substitute's draw z picks occurrences[v][z % m(v)], m(v) = len(occurrences[v]).
     As one value's positions are distinct, any cell but the bumped one changes
-    exactly when its two draws differ modulo m(pixel).
+    exactly when its two draws differ modulo m(pixel).  Raises ValueError,
+    before any draw, for an image value whose key positions repeat.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -173,6 +174,9 @@ def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
     first = first_uncovered(pixels, counts)
     if first is not None:
         raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
+    for value in sorted(set(pixels)):
+        if len(set(occurrences[value])) < counts[value]:
+            raise ValueError(f"value {value} has a repeated key position")
     n = len(pixels)
     moduli = [counts[value] for value in pixels]
     total = 0.0
@@ -199,8 +203,10 @@ def differential_paired_seed(image: PlainImage, key: ReferenceKey, seed: int,
     """Cells changed by a one-pixel bump when both encryptions share a seed.
 
     With lockstep draws only the bumped pixel's cell can change, which
-    exposes the scheme's true per-pixel diffusion.
+    exposes the scheme's true per-pixel diffusion.  pixel_index must lie in 0..n-1.
     """
+    if not 0 <= pixel_index < len(image.pixels):
+        raise ValueError(f"pixel index {pixel_index} is outside 0..{len(image.pixels) - 1}")
     bumped = bytearray(image.pixels)
     bumped[pixel_index] = (bumped[pixel_index] + 1) % 256
     c1 = encrypt(image, key, RandomStream(seed))

@@ -1,8 +1,8 @@
 """Doubly-even magic squares and the cell permutations they induce."""
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import LengthMismatch, NotDoublyEven, OrderTooLarge
 
@@ -91,9 +91,9 @@ def scramble_square(grid: Sequence, n: int) -> array | list:
     if len(grid) != n * n:
         raise LengthMismatch(n * n, len(grid))
     out = grid[:] if isinstance(grid, array) else list(grid)
-    reversed_grid = out[::-1]
     for i in range(n):
-        row = i * n
+        row, mirror = i * n, n * n - 1 - i * n  # cell row + c takes cell mirror - c
+        stop = mirror - n if i < n - 1 else None  # mirror - n is -1 on the last row
         for c in ((0, 3) if i % 4 in (0, 3) else (1, 2)):
-            out[row + c:row + n:4] = reversed_grid[row + c:row + n:4]
+            out[row + c:row + n:4] = grid[mirror - c:stop:-4]
     return out

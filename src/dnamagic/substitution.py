@@ -62,8 +62,7 @@ class RandomStream:
 
     def next64(self) -> int:
         """Next raw 64-bit output."""
-        self._state = z = (self._state + _GAMMA) & _MASK64
-        return _mix(z, _MASK64)
+        return self.outputs(1)[0]
 
     def outputs(self, n: int) -> array:
         """The next n raw outputs, the same values as n next64() calls.
@@ -207,9 +206,10 @@ def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:
     if isinstance(pointers, Cells):
         # a uint16 cell cannot leave the 65536-position window
         pointers = pointers.buffer
-    elif pointers and (min(pointers) < 0 or max(pointers) >= WINDOW_STARTS):
-        index = next(i for i, p in enumerate(pointers) if not 0 <= p < WINDOW_STARTS)
-        raise PointerOutOfRange(index, pointers[index])
+    else:  # kept as given; an int array of another typecode passes the check
+        for index, p in enumerate(pointers):
+            if not (isinstance(p, int) and 0 <= p < WINDOW_STARTS):
+                raise PointerOutOfRange(index, p)
     table = pixel_table(key.sequence.bases)
     if len(pointers) < 2:
         # itemgetter of one index returns a scalar, and of none raises

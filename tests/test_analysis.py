@@ -256,6 +256,25 @@ def test_sensitivity_draws_index_then_original_seed_then_bumped_seed():
     assert differential_sensitivity(img, key, 3, RandomStream(2024)) == expected / 3
 
 
+# a hand-built key whose every value has the one position 5 twice
+REPEATED_POSITIONS = ReferenceKey(NucleotideSequence("A" * 8), KmerIndex(((5, 5),) * 256, 0), 0)
+
+
+def test_sensitivity_rejects_an_image_value_with_repeated_positions():
+    # the draw count would read 0.34375 here, where encrypting both images changes no cell
+    rng = RandomStream(1)
+    with pytest.raises(ValueError, match="^value 0 has a repeated key position$"):
+        differential_sensitivity(PlainImage(4, 4, bytes(range(16))), REPEATED_POSITIONS, 2, rng)
+    assert rng.next64() == RandomStream(1).next64()  # raised before any draw
+
+
+@pytest.mark.parametrize("pixel_index", [-17, -1, 16, 17])
+def test_paired_seed_rejects_a_pixel_index_outside_the_image(pixel_index):
+    with pytest.raises(ValueError, match=f"^pixel index {pixel_index} is outside 0..15$"):
+        differential_paired_seed(PlainImage(4, 4, bytes(range(16))), REPEATED_POSITIONS, 1,
+                                 pixel_index)
+
+
 def test_paired_seed_changes_exactly_one_cell(random_key):
     rng = random.Random(30)
     img = random_image(rng, 16)

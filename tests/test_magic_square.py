@@ -20,6 +20,24 @@ from dnamagic.magic_square import (
     to_permutation,
     unscramble,
 )
+from dnamagic.substitution import Cells
+
+
+def oracle_scramble_square(grid, n: int):
+    """scramble_square as first written, kept verbatim: it reads each mirrored
+    cell from a reversed copy of the grid."""
+    if n < 4 or n % 4 != 0:
+        raise NotDoublyEven(n)
+    if len(grid) != n * n:
+        raise LengthMismatch(n * n, len(grid))
+    out = grid[:] if isinstance(grid, array) else list(grid)
+    reversed_grid = out[::-1]
+    for i in range(n):
+        row = i * n
+        for c in ((0, 3) if i % 4 in (0, 3) else (1, 2)):
+            out[row + c:row + n:4] = reversed_grid[row + c:row + n:4]
+    return out
+
 
 EXPECTED_ORDER_4 = ((16, 2, 3, 13), (5, 11, 10, 8), (9, 7, 6, 12), (4, 14, 15, 1))
 
@@ -144,6 +162,8 @@ def test_scramble_square_keeps_a_uint16_array_an_array(n, seed):
     assert scramble_square(out, n) == array("H", grid)
     assert all(type(scramble_square(cells, n)) is list
                for cells in (grid, tuple(grid), range(n * n)))
+    for cells in (array("H", grid), grid, tuple(grid), range(n * n), Cells(array("H", grid))):
+        assert scramble_square(cells, n) == oracle_scramble_square(cells, n)
 
 
 def test_length_mismatch_rejected():

@@ -7,6 +7,7 @@ from array import array
 import pytest
 
 from conftest import random_image
+from dnamagic.cipher import CipherImage, decrypt
 from dnamagic.dna import BYTE_TO_QUAD
 from dnamagic.errors import PointerOutOfRange, QuadNotCovered, SequenceTooShort
 from dnamagic.imageio import PlainImage
@@ -203,6 +204,9 @@ def test_one_and_two_cell_grids_read_back_every_pixel():
     key = _stub_key(bases=BYTE_TO_QUAD[17] + BYTE_TO_QUAD[228] + "A" * WINDOW_STARTS)
     assert reverse_substitute(PointerGrid(1, 1, (4,)), key) == PlainImage(1, 1, bytes([228]))
     assert reverse_substitute(PointerGrid(2, 1, (4, 0)), key) == PlainImage(2, 1, bytes([228, 17]))
+    # an int array of another typecode is kept as given, and its cells all fit the window
+    other_typecode = PointerGrid(2, 1, array("I", (4, 0)))
+    assert reverse_substitute(other_typecode, key) == PlainImage(2, 1, bytes([228, 17]))
 
 
 def test_empty_grid_fails_as_an_empty_image(random_key):
@@ -234,6 +238,15 @@ def test_bytes_cells_are_their_values_not_raw_uint16_pairs():
     assert PointerGrid(2, 1, b"\x01\x02").pointers == (1, 2)
 
 
-@pytest.mark.parametrize("cells", [(3, 65536), (-1, 0), (0, 70000), (0, 2.0)])
-def test_cells_a_uint16_cannot_hold_are_kept_as_given(cells):
-    assert PointerGrid(2, 1, cells).pointers is cells
+@pytest.mark.parametrize("cells", [(3, 65536), (-1, 0), (0, 70000), (0, 2.0), (0, "a")])
+def test_cells_a_uint16_cannot_hold_are_kept_as_given(cells, random_key):
+    grid = PointerGrid(2, 1, cells)
+    assert grid.pointers is cells
+    index = 0 if cells[0] == -1 else 1  # the first cell a uint16 cannot hold
+    with pytest.raises(PointerOutOfRange) as exc:
+        reverse_substitute(grid, random_key)
+    assert (exc.value.index, exc.value.value) == (index, cells[index])
+    # decrypt unscrambles first: in a 4x4 grid cell 1 stays put and cell 0 moves to 15
+    with pytest.raises(PointerOutOfRange) as exc:
+        decrypt(CipherImage(4, 4, cells + (0,) * 14), random_key)
+    assert (exc.value.index, exc.value.value) == (index or 15, cells[index])
