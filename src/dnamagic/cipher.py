@@ -66,8 +66,8 @@ def decrypt(cipher: CipherImage, key: ReferenceKey) -> PlainImage:
     _check_dimensions(cipher.width, cipher.height)
     if cipher.flags & FLAG_FINGERPRINT and cipher.fingerprint != key.fingerprint:
         raise WrongKey(cipher.fingerprint or 0, key.fingerprint)
-    # the scramble is its own inverse; cells that do not fit 16 bits were
-    # kept as given, and reverse_substitute rejects them
+    # the scramble is its own inverse; a grid is kept as given only when some
+    # cell does not fit 16 bits, and reverse_substitute names the first one
     pointers = cipher.pointers
     if isinstance(pointers, Cells):
         pointers = pointers.buffer

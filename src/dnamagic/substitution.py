@@ -9,7 +9,6 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .dna import BYTE_TO_QUAD
 from .errors import PointerOutOfRange, QuadNotCovered
@@ -80,8 +79,12 @@ class RandomStream:
             if sys.byteorder == "big":
                 words.byteswap()
             out.extend(words[::2])
-            self._state = (self._state + m * _GAMMA) & _MASK64
+            self._skip(m)
         return out
+
+    def _skip(self, n: int) -> None:
+        """Move the stream past n outputs without computing them."""
+        self._state = (self._state + n * _GAMMA) & _MASK64
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -159,16 +162,19 @@ class PointerGrid:
     pointers: Sequence[int]
 
     def __post_init__(self):
-        if len(self.pointers) != self.width * self.height:
+        pointers = self.pointers
+        if len(pointers) != self.width * self.height:
             raise ValueError(
-                f"pointer count {len(self.pointers)} does not match {self.width}x{self.height}"
+                f"pointer count {len(pointers)} does not match {self.width}x{self.height}"
             )
-        if not isinstance(self.pointers, Cells):
+        if not isinstance(pointers, Cells):
+            if isinstance(pointers, array) and pointers.typecode != "H":
+                pointers = pointers.tolist()  # extend refuses an array of another typecode
             buffer = array("H")
             try:
                 # extend copies a uint16 array whole and reads bytes as one cell
                 # per byte, where array("H", bytes) would pair them up
-                buffer.extend(self.pointers)
+                buffer.extend(pointers)
             except (OverflowError, TypeError):
                 return
             object.__setattr__(self, "pointers", Cells(buffer))
@@ -193,7 +199,7 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
     counts = [len(options) for options in occurrences]
     first = first_uncovered(pixels, counts)
     if first is not None:
-        rng.outputs(first)  # the cells before it still draw
+        rng._skip(first)  # the cells before it still draw
         raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
     pointers = array("H", [occurrences[value][z % counts[value]]
                            for value, z in zip(pixels, rng.outputs(len(pixels)))])
@@ -203,17 +209,9 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
 def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:
     """Read back the pixel whose word each pointer names; inverts substitute for any randomness."""
     pointers = grid.pointers
-    if isinstance(pointers, Cells):
-        # a uint16 cell cannot leave the 65536-position window
-        pointers = pointers.buffer
-    else:  # kept as given; an int array of another typecode passes the check
+    if not isinstance(pointers, Cells):  # kept as given, so some cell is not a uint16
         for index, p in enumerate(pointers):
             if not (isinstance(p, int) and 0 <= p < WINDOW_STARTS):
                 raise PointerOutOfRange(index, p)
     table = pixel_table(key.sequence.bases)
-    if len(pointers) < 2:
-        # itemgetter of one index returns a scalar, and of none raises
-        pixels = bytes(table[p] for p in pointers)
-    else:
-        pixels = bytes(itemgetter(*pointers)(table))
-    return PlainImage(grid.width, grid.height, pixels)
+    return PlainImage(grid.width, grid.height, bytes([table[p] for p in pointers]))

@@ -6,6 +6,7 @@ import pickle
 import random
 import struct
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -75,6 +76,20 @@ def test_decrypt_validates_dimensions(random_key):
     cip = CipherImage(5, 5, tuple(range(25)))
     with pytest.raises(DimensionError):
         decrypt(cip, random_key)
+
+
+def test_decrypt_holds_a_few_bytes_per_cell(random_key):
+    # a gather that boxes every cell into a tuple of ints peaks near 50 bytes per cell
+    img = random_image(random.Random(16), 256)
+    blob = serialize(encrypt(img, random_key, RandomStream(16)))
+    tracemalloc.start()
+    try:
+        plain = decrypt(deserialize(blob), random_key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plain == img
+    assert peak <= 16 * 256 * 256
 
 
 def test_wrong_key_garbles_without_fingerprint(random_key):

@@ -227,6 +227,28 @@ def test_tuple_and_buffer_built_grids_are_the_same_value():
     assert a.pointers[1:3] == (1, 65535) and a.pointers[-1] == 7 and list(a.pointers) == [*cells]
 
 
+@pytest.mark.parametrize("typecode", "bBhHiIlLqQ")
+def test_int_arrays_whose_cells_fit_are_cells_whatever_their_typecode(typecode):
+    cells = (0, 1, 127, 7)
+    a = PointerGrid(2, 2, cells)
+    b = PointerGrid(2, 2, array(typecode, cells))
+    assert isinstance(b.pointers, Cells)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("cells,index", [
+    (array("I", [1, 70000]), 1),
+    (array("h", [0, -1]), 1),
+    (array("d", [0.0, 1.0]), 0),
+])
+def test_arrays_a_uint16_cannot_hold_are_kept_as_given(cells, index, random_key):
+    grid = PointerGrid(2, 1, cells)
+    assert grid.pointers is cells
+    with pytest.raises(PointerOutOfRange) as exc:
+        reverse_substitute(grid, random_key)
+    assert (exc.value.index, exc.value.value) == (index, cells[index])
+
+
 def test_grid_keeps_its_own_copy_of_a_buffer():
     source = array("H", (1, 2, 3, 4))
     grid = PointerGrid(2, 2, source)
