@@ -66,12 +66,9 @@ def decrypt(cipher: CipherImage, key: ReferenceKey) -> PlainImage:
     _check_dimensions(cipher.width, cipher.height)
     if cipher.flags & FLAG_FINGERPRINT and cipher.fingerprint != key.fingerprint:
         raise WrongKey(cipher.fingerprint or 0, key.fingerprint)
-    # the scramble is its own inverse; a grid is kept as given only when some
-    # cell does not fit 16 bits, and reverse_substitute names the first one
-    pointers = cipher.pointers
-    if isinstance(pointers, Cells):
-        pointers = pointers.buffer
-    grid = PointerGrid(cipher.width, cipher.height, scramble_square(pointers, cipher.width))
+    # the scramble is its own inverse
+    grid = PointerGrid(cipher.width, cipher.height,
+                       scramble_square(cipher.pointers.buffer, cipher.width))
     return reverse_substitute(grid, key)
 
 
@@ -86,8 +83,8 @@ def serialize(cipher: CipherImage) -> bytes:
     """Emit the container bytes; deterministic byte-for-byte.
 
     Raises ValueError, naming the field, for a value DMC1 cannot hold: flags
-    outside 0..255, a width or height outside 0..2**32-1, a fingerprint
-    outside 0..2**64-1 or a cell outside 0..65535.
+    outside 0..255, a width or height outside 0..2**32-1 or a fingerprint
+    outside 0..2**64-1.
     """
     if bool(cipher.flags & FLAG_FINGERPRINT) != (cipher.fingerprint is not None):
         raise ValueError("fingerprint flag and fingerprint field disagree")
@@ -97,10 +94,7 @@ def serialize(cipher: CipherImage) -> bytes:
              _pack("<I", "height", (cipher.height,))]
     if cipher.fingerprint is not None:
         parts.append(_pack("<Q", "fingerprint", (cipher.fingerprint,)))
-    if isinstance(cipher.pointers, Cells):
-        parts.append(cipher.pointers.tobytes())
-    else:
-        parts.append(_pack(f"<{len(cipher.pointers)}H", "cell", cipher.pointers))
+    parts.append(cipher.pointers.tobytes())
     return b"".join(parts)
 
 

@@ -153,8 +153,8 @@ class Cells(Sequence):
 class PointerGrid:
     """Row-major grid of 16-bit positions into the key window.
 
-    Cells that all fit 0..65535 are stored as one uint16 buffer (Cells);
-    any others are kept as given, for reverse_substitute or serialize to reject.
+    The cells are stored as one uint16 buffer (Cells); the first one that is
+    not an int in 0..65535 raises PointerOutOfRange.
     """
 
     width: int
@@ -176,7 +176,10 @@ class PointerGrid:
                 # per byte, where array("H", bytes) would pair them up
                 buffer.extend(pointers)
             except (OverflowError, TypeError):
-                return
+                for index, p in enumerate(pointers):
+                    if not (isinstance(p, int) and 0 <= p < WINDOW_STARTS):
+                        raise PointerOutOfRange(index, p) from None
+                raise
             object.__setattr__(self, "pointers", Cells(buffer))
 
 
@@ -208,10 +211,5 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
 
 def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:
     """Read back the pixel whose word each pointer names; inverts substitute for any randomness."""
-    pointers = grid.pointers
-    if not isinstance(pointers, Cells):  # kept as given, so some cell is not a uint16
-        for index, p in enumerate(pointers):
-            if not (isinstance(p, int) and 0 <= p < WINDOW_STARTS):
-                raise PointerOutOfRange(index, p)
     table = pixel_table(key.sequence.bases)
-    return PlainImage(grid.width, grid.height, bytes([table[p] for p in pointers]))
+    return PlainImage(grid.width, grid.height, bytes([table[p] for p in grid.pointers]))

@@ -22,6 +22,7 @@ from dnamagic.cipher import (
 from dnamagic.errors import (
     BadMagic,
     DimensionError,
+    PointerOutOfRange,
     TruncatedPayload,
     UnsupportedVersion,
     WrongKey,
@@ -206,15 +207,16 @@ def test_serialize_rejects_inconsistent_fingerprint_flag():
         serialize(CipherImage(4, 4, tuple(range(16)), 0, 5))
 
 
-@pytest.mark.parametrize("cipher,field", [
-    (CipherImage(4, 4, (70000,) + (0,) * 15), "cell"),
-    (CipherImage(4, 4, (0,) * 15 + (-1,)), "cell"),
-    (CipherImage(4, 4, (0,) * 16, 1, 1 << 64), "fingerprint"),
-    (CipherImage(1 << 32, 0, ()), "width"),
+@pytest.mark.parametrize("fields,error,message", [
+    ((4, 4, (70000,) + (0,) * 15), PointerOutOfRange, "pointer 70000 at cell 0 "),
+    ((4, 4, (0,) * 15 + (-1,)), PointerOutOfRange, "pointer -1 at cell 15 "),
+    ((4, 4, (0,) * 16, 1, 1 << 64), ValueError, "fingerprint does not fit the DMC1 container"),
+    ((1 << 32, 0, ()), ValueError, "width does not fit the DMC1 container"),
 ], ids=["cell-70000", "cell-minus-1", "fingerprint-2-64", "width-2-32"])
-def test_serialize_rejects_values_dmc1_cannot_hold(cipher, field):
-    with pytest.raises(ValueError, match=f"^{field} does not fit the DMC1 container"):
-        serialize(cipher)
+def test_serialize_rejects_values_dmc1_cannot_hold(fields, error, message):
+    # a cell DMC1 cannot hold is rejected where the grid is built
+    with pytest.raises(error, match=f"^{message}"):
+        serialize(CipherImage(*fields))
 
 
 def test_cipher_image_validates_cell_count():

@@ -4,9 +4,11 @@
 `deserialize` as they stood while `CipherImage` declared its own cells, kept
 verbatim except that a container is the tuple (width, height, pointers,
 flags, fingerprint).  The library and the oracle must give the same bytes or
-fields, or the same error type and message: for cells, flags, widths and
+fields, or the same error type and message: for flags, widths and
 fingerprints in and out of range, a fingerprint flag that disagrees with the
-fingerprint field, and valid, truncated, mutated and arbitrary bytes.
+fingerprint field, and valid, truncated, mutated and arbitrary bytes.  A cell
+outside 0..65535 is rejected where the CipherImage is built, naming the
+first such cell, before any field is serialized.
 """
 
 import struct
@@ -15,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnamagic.cipher import CipherImage, deserialize, serialize
-from dnamagic.errors import BadMagic, DimensionError, TruncatedPayload, UnsupportedVersion
+from dnamagic.errors import (
+    BadMagic,
+    DimensionError,
+    PointerOutOfRange,
+    TruncatedPayload,
+    UnsupportedVersion,
+)
 
 CONTAINER_MAGIC = b"DMC1"
 CONTAINER_VERSION = 1
@@ -91,7 +99,9 @@ sides = st.sampled_from([0, 1, 4, 8, -1, 2**32 - 1, 2**32])
 def containers(draw):
     """Field tuples whose cell count matches width x height, values in and out of range."""
     width, height = draw(st.tuples(sides, sides).filter(lambda wh: 0 <= wh[0] * wh[1] <= 64))
-    pointers = tuple(draw(st.lists(cells, min_size=width * height, max_size=width * height)))
+    # most lists with out-of-range cells hold one, so draw all-in-range lists too
+    values = cells if draw(st.booleans()) else st.integers(0, 65535)
+    pointers = tuple(draw(st.lists(values, min_size=width * height, max_size=width * height)))
     flags = draw(st.integers(0, 255) | st.sampled_from([-1, 256]))
     fingerprint = draw(st.none() | st.integers(0, 2**64 - 1) | st.sampled_from([-1, 2**64]))
     return width, height, pointers, flags, fingerprint
@@ -100,7 +110,11 @@ def containers(draw):
 @settings(max_examples=400, deadline=None)
 @given(fields=containers())
 def test_serialize_matches_the_oracle(fields):
-    assert outcome(serialize, CipherImage(*fields)) == outcome(oracle_serialize, fields)
+    bad = [(index, p) for index, p in enumerate(fields[2]) if not 0 <= p <= 65535]
+    if bad:
+        assert outcome(CipherImage, *fields) == (PointerOutOfRange, str(PointerOutOfRange(*bad[0])))
+    else:
+        assert outcome(serialize, CipherImage(*fields)) == outcome(oracle_serialize, fields)
 
 
 @st.composite

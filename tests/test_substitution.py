@@ -5,6 +5,8 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_image
 from dnamagic.cipher import CipherImage, decrypt
@@ -204,7 +206,7 @@ def test_one_and_two_cell_grids_read_back_every_pixel():
     key = _stub_key(bases=BYTE_TO_QUAD[17] + BYTE_TO_QUAD[228] + "A" * WINDOW_STARTS)
     assert reverse_substitute(PointerGrid(1, 1, (4,)), key) == PlainImage(1, 1, bytes([228]))
     assert reverse_substitute(PointerGrid(2, 1, (4, 0)), key) == PlainImage(2, 1, bytes([228, 17]))
-    # an int array of another typecode is kept as given, and its cells all fit the window
+    # an int array of another typecode is stored as the same uint16 cells
     other_typecode = PointerGrid(2, 1, array("I", (4, 0)))
     assert reverse_substitute(other_typecode, key) == PlainImage(2, 1, bytes([228, 17]))
 
@@ -241,11 +243,9 @@ def test_int_arrays_whose_cells_fit_are_cells_whatever_their_typecode(typecode):
     (array("h", [0, -1]), 1),
     (array("d", [0.0, 1.0]), 0),
 ])
-def test_arrays_a_uint16_cannot_hold_are_kept_as_given(cells, index, random_key):
-    grid = PointerGrid(2, 1, cells)
-    assert grid.pointers is cells
+def test_arrays_a_uint16_cannot_hold_are_rejected(cells, index, random_key):
     with pytest.raises(PointerOutOfRange) as exc:
-        reverse_substitute(grid, random_key)
+        reverse_substitute(PointerGrid(2, 1, cells), random_key)
     assert (exc.value.index, exc.value.value) == (index, cells[index])
 
 
@@ -261,14 +261,47 @@ def test_bytes_cells_are_their_values_not_raw_uint16_pairs():
 
 
 @pytest.mark.parametrize("cells", [(3, 65536), (-1, 0), (0, 70000), (0, 2.0), (0, "a")])
-def test_cells_a_uint16_cannot_hold_are_kept_as_given(cells, random_key):
-    grid = PointerGrid(2, 1, cells)
-    assert grid.pointers is cells
+def test_cells_a_uint16_cannot_hold_are_rejected(cells, random_key):
     index = 0 if cells[0] == -1 else 1  # the first cell a uint16 cannot hold
     with pytest.raises(PointerOutOfRange) as exc:
-        reverse_substitute(grid, random_key)
+        reverse_substitute(PointerGrid(2, 1, cells), random_key)
     assert (exc.value.index, exc.value.value) == (index, cells[index])
-    # decrypt unscrambles first: in a 4x4 grid cell 1 stays put and cell 0 moves to 15
+    # a cipher grid is rejected where it is built, so the index is the one
+    # before unscrambling
     with pytest.raises(PointerOutOfRange) as exc:
         decrypt(CipherImage(4, 4, cells + (0,) * 14), random_key)
-    assert (exc.value.index, exc.value.value) == (index or 15, cells[index])
+    assert (exc.value.index, exc.value.value) == (index, cells[index])
+
+
+@st.composite
+def cell_sequences(draw):
+    """Cells as a tuple of mixed values, as bytes, or as an int array of any typecode."""
+    n = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["tuple", "bytes", "array"]))
+    if kind == "bytes":
+        return draw(st.binary(min_size=n, max_size=n))
+    if kind == "array":
+        typecode = draw(st.sampled_from("bBhHiIlLqQ"))
+        size = 1 << array(typecode).itemsize * 8
+        low = -size // 2 if typecode.islower() else 0
+        high = low + size - 1
+        values = st.integers(0, min(high, 65535)) | st.integers(low, high)
+        return array(typecode, draw(st.lists(values, min_size=n, max_size=n)))
+    values = st.one_of(st.integers(0, 65535), st.integers(-(1 << 70), 1 << 70),
+                       st.booleans(), st.floats(allow_nan=False), st.text(max_size=2))
+    return tuple(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=cell_sequences())
+def test_a_grid_holds_its_cells_or_names_the_first_that_does_not_fit(cells):
+    bad = [(index, p) for index, p in enumerate(cells)
+           if not (isinstance(p, int) and 0 <= p <= 65535)]
+    for grid_type, width, height in ((PointerGrid, len(cells), 1), (CipherImage, 1, len(cells))):
+        if bad:
+            with pytest.raises(PointerOutOfRange) as exc:
+                grid_type(width, height, cells)
+            assert (exc.value.index, exc.value.value) == bad[0]
+        else:
+            grid = grid_type(width, height, cells)
+            assert isinstance(grid.pointers, Cells) and grid.pointers == tuple(cells)
