@@ -11,6 +11,7 @@ fingerprint.
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dna import BYTE_TO_QUAD, NUCLEOTIDES
 from .errors import EmptySequence, InvalidSymbol, QuadCoverageError, SequenceTooShort
@@ -68,6 +69,11 @@ class ReferenceKey:
     sequence: NucleotideSequence
     index: KmerIndex
     fingerprint: int
+
+    @cached_property
+    def decode_table(self) -> bytes:
+        """pixel_table of the key's bases, built on first use and then kept with the key."""
+        return pixel_table(self.sequence.bases)
 
 
 def parse_fasta(data: bytes | str, mode: str = "strict") -> NucleotideSequence:

@@ -13,32 +13,42 @@ from dataclasses import dataclass
 from .dna import BYTE_TO_QUAD
 from .errors import PointerOutOfRange, QuadNotCovered
 from .imageio import PlainImage
-from .reference import ReferenceKey, WINDOW_STARTS, pixel_table
+from .reference import ReferenceKey, WINDOW_STARTS
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4B7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# outputs() computes a block of draws in one int, one 128-bit lane per draw:
-# a lane holds a 64-bit value, so a product by a 64-bit constant still fits
-# in it and never carries into the next lane
+# outputs() computes a block of draws in two ints, one for the even-numbered
+# draws and one for the odd-numbered ones, one 128-bit lane per draw: a lane
+# holds a 64-bit value, so a product by a 64-bit constant still fits in it and
+# never carries into the next lane
 _BLOCK = 4096
+_LANES = _BLOCK // 2  # lanes per half block
 _LANE_BITS = 128
 
-_ONES = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")  # 1 in every lane
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")  # 1 in every lane
 _LOW64 = _ONES * _MASK64
-# lane k: (k+1)*gamma mod 2**64, from a little-endian Q and 8 pad bytes per lane
-_STEPS = (int.from_bytes(struct.pack("<" + "Q8x" * _BLOCK, *range(1, _BLOCK + 1)), "little")
-          * _GAMMA) & _LOW64
+
+
+def _steps(first: int) -> int:
+    """Lane j holds (first + 2j)*gamma mod 2**64: a little-endian Q and 8 pad bytes per lane."""
+    lanes = struct.pack("<" + "Q8x" * _LANES, *range(first, first + _BLOCK, 2))
+    return (int.from_bytes(lanes, "little") * _GAMMA) & _LOW64
+
+
+_EVEN_STEPS = _steps(1)  # draw 2j of a block is the mix of state + (2j+1)*gamma
+_ODD_STEPS = _steps(2)
 
 
 def _mix(z: int, low: int) -> int:
     """splitmix64's output mix of each lane of z, in its low 64 bits; low is 2**64 - 1 per lane."""
-    # masked before every shift and product, so no lane reads bits of the next one
+    # masked before every shift and product, so no lane reads bits of the next
+    # one, and after the last shift, so every lane's high 64 bits are zero
     z = (((z ^ (z >> 30)) & low) * _MIX1) & low
     z = (((z ^ (z >> 27)) & low) * _MIX2) & low
-    return z ^ (z >> 31)
+    return (z ^ (z >> 31)) & low
 
 
 class RandomStream:
@@ -67,19 +77,27 @@ class RandomStream:
         """The next n raw outputs, the same values as n next64() calls.
 
         Output k depends only on the state and k, so each block of up to
-        4096 outputs is computed at once in 128-bit lanes of one int.
+        4096 outputs is computed at once: its even- and odd-numbered draws
+        in the 128-bit lanes of two ints, joined so that one to_bytes call
+        yields the block's draws in order.
         """
         out = array("Q")
         for start in range(0, n, _BLOCK):
             m = min(_BLOCK, n - start)
-            keep = (1 << (_LANE_BITS * m)) - 1
-            low = _LOW64 & keep
-            z = _mix(((_STEPS & keep) + self._state * (_ONES & keep)) & low, low)
-            words = array("Q", z.to_bytes(_LANE_BITS // 8 * m, "little"))
-            if sys.byteorder == "big":
-                words.byteswap()
-            out.extend(words[::2])
+            even, odd, ones = _EVEN_STEPS, _ODD_STEPS, _ONES
+            even_low = odd_low = _LOW64
+            if m < _BLOCK:  # only the lanes of m draws
+                even_low &= (1 << _LANE_BITS * ((m + 1) // 2)) - 1
+                odd_low &= (1 << _LANE_BITS * (m // 2)) - 1
+                even, odd, ones = even & even_low, odd & odd_low, ones & even_low
+            base = self._state * ones
+            even = _mix((even + base) & even_low, even_low)
+            odd = _mix((odd + base) & odd_low, odd_low)
+            # lane j of the join holds draw 2j in its low 64 bits and draw 2j+1 above
+            out.frombytes((even | odd << 64).to_bytes(8 * m, "little"))
             self._skip(m)
+        if sys.byteorder == "big":
+            out.byteswap()
         return out
 
     def _skip(self, n: int) -> None:
@@ -175,6 +193,10 @@ class PointerGrid:
                 # extend copies a uint16 array whole and reads bytes as one cell
                 # per byte, where array("H", bytes) would pair them up
                 buffer.extend(pointers)
+                # extend also takes any object with __index__, which is not an int
+                if not isinstance(pointers, (array, bytes, bytearray)) and not all(
+                        issubclass(kind, int) for kind in set(map(type, pointers))):
+                    raise TypeError
             except (OverflowError, TypeError):
                 for index, p in enumerate(pointers):
                     if not (isinstance(p, int) and 0 <= p < WINDOW_STARTS):
@@ -204,12 +226,27 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
     if first is not None:
         rng._skip(first)  # the cells before it still draw
         raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
-    pointers = array("H", [occurrences[value][z % counts[value]]
-                           for value, z in zip(pixels, rng.outputs(len(pixels)))])
-    return PointerGrid(image.width, image.height, pointers)
+    wide = array("I", [occurrences[value][z % counts[value]]
+                       for value, z in zip(pixels, rng.outputs(len(pixels)))])
+    return PointerGrid(image.width, image.height, _uint16(wide))
+
+
+# substitute builds its cells as array("I"), whose per-item conversion is far
+# cheaper than array("H")'s, then keeps each item's low uint16 half
+_WIDE = array("I").itemsize
+_LOW_HALF = 0 if sys.byteorder == "little" else _WIDE // 2 - 1  # which uint16 of an item
+_HIGH_BYTES = range(2, _WIDE) if sys.byteorder == "little" else range(_WIDE - 2)  # bits 16 up
+
+
+def _uint16(wide: array) -> array:
+    """The items of an array("I") as one uint16 buffer, or wide itself when one is above 65535."""
+    raw = wide.tobytes()
+    if any(raw[j::_WIDE].count(0) < len(wide) for j in _HIGH_BYTES):
+        return wide  # PointerGrid names the first cell that does not fit
+    return array("H", raw)[_LOW_HALF::_WIDE // 2]
 
 
 def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:
     """Read back the pixel whose word each pointer names; inverts substitute for any randomness."""
-    table = pixel_table(key.sequence.bases)
+    table = key.decode_table
     return PlainImage(grid.width, grid.height, bytes([table[p] for p in grid.pointers]))

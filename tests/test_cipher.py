@@ -93,6 +93,19 @@ def test_decrypt_holds_a_few_bytes_per_cell(random_key):
     assert peak <= 16 * 256 * 256
 
 
+def test_encrypt_holds_a_few_bytes_per_cell(random_key):
+    # the draws and the list of cells held at once come to about 17 bytes per cell
+    img = random_image(random.Random(16), 256)
+    tracemalloc.start()
+    try:
+        blob = serialize(encrypt(img, random_key, RandomStream(16)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decrypt(deserialize(blob), random_key) == img
+    assert peak <= 18 * 256 * 256
+
+
 def test_wrong_key_garbles_without_fingerprint(random_key):
     rng = random.Random(17)
     img = random_image(rng, 8)

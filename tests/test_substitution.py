@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_image
-from dnamagic.cipher import CipherImage, decrypt
+from dnamagic import reference
+from dnamagic.cipher import CipherImage, decrypt, encrypt
 from dnamagic.dna import BYTE_TO_QUAD
 from dnamagic.errors import PointerOutOfRange, QuadNotCovered, SequenceTooShort
 from dnamagic.imageio import PlainImage
@@ -19,6 +20,7 @@ from dnamagic.reference import (
     NucleotideSequence,
     ReferenceKey,
     WINDOW_STARTS,
+    pixel_table,
 )
 from dnamagic.substitution import (
     Cells,
@@ -197,6 +199,30 @@ def test_short_hand_built_key_is_rejected_at_decode(length):
     assert exc.value.required == MIN_KEY_LENGTH
 
 
+def test_a_key_builds_its_decode_table_once(random_key, monkeypatch):
+    calls = []
+
+    def counted(bases):
+        calls.append(len(bases))
+        return pixel_table(bases)
+
+    monkeypatch.setattr(reference, "pixel_table", counted)
+    key = ReferenceKey(random_key.sequence, random_key.index, random_key.fingerprint)
+    img = random_image(random.Random(19), 8)
+    cipher = encrypt(img, key, RandomStream(19))
+    assert decrypt(cipher, key) == img
+    assert decrypt(cipher, key) == img
+    assert calls == [len(key.sequence)]
+
+
+def test_short_hand_built_key_fails_on_every_decode():
+    # a failed build is not kept, so the next read fails the same way
+    key = _stub_key(bases="GATC" * 4)
+    for _ in range(2):
+        with pytest.raises(SequenceTooShort):
+            reverse_substitute(PointerGrid(2, 1, (0, 4)), key)
+
+
 def test_pointer_grid_validates_shape():
     with pytest.raises(ValueError):
         PointerGrid(2, 2, (1, 2, 3))
@@ -271,6 +297,21 @@ def test_cells_a_uint16_cannot_hold_are_rejected(cells, random_key):
     with pytest.raises(PointerOutOfRange) as exc:
         decrypt(CipherImage(4, 4, cells + (0,) * 14), random_key)
     assert (exc.value.index, exc.value.value) == (index, cells[index])
+
+
+class Five:
+    """Not an int, but array("H").extend would store it as 5."""
+
+    def __index__(self):
+        return 5
+
+
+@pytest.mark.parametrize("cells", [(3, Five()), [3, Five()]])
+def test_an_object_with_index_is_not_a_cell(cells):
+    for grid_type in (PointerGrid, CipherImage):
+        with pytest.raises(PointerOutOfRange) as exc:
+            grid_type(2, 1, cells)
+        assert (exc.value.index, exc.value.value) == (1, cells[1])
 
 
 @st.composite

@@ -205,3 +205,43 @@ def test_uncovered_word_in_the_third_block_fails_like_the_oracle(seed):
     old = outcome(lambda: oracle_substitute(synthesize(image), key, old_rng))
     assert new == old == ("QuadNotCovered", BYTE_TO_QUAD[7])
     assert new_rng.next64() == old_rng.next64()
+
+
+# a block holds 4096 draws; these end on an odd or even half and cross one,
+# two or three blocks
+EDGE_COUNTS = [0, 1, 2, 3, 4094, 4095, 4096, 4097, 4098, 8191, 8192, 8193, 12288, 12291]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, _MASK64) | st.sampled_from(SEEDS),
+       n=st.integers(0, 3 * 4096 + 3) | st.sampled_from(EDGE_COUNTS))
+def test_outputs_match_the_frozen_stream_for_any_seed(seed, n):
+    stream, oracle = RandomStream(seed), OracleStream(seed)
+    assert list(stream.outputs(n)) == [oracle.next64() for _ in range(n)]
+    assert stream.next64() == oracle.next64()
+
+
+# low bytes 0xff and 0x00, high bytes 0x00 and 0x01, and both bytes 0xff:
+# a slip of byte order or offset in narrowing the cells changes them
+BYTE_EDGES = {0: (255,), 1: (256,), 2: (65535,), 3: (0, 255, 256, 257, 65280, 65535)}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (64, 64), (4097, 1)])
+def test_substitute_matches_frozen_oracle_at_byte_edges(width, height, seed):
+    image = PlainImage(width, height, bytes(k % 4 for k in range(width * height)))
+    key = stub_key(BYTE_EDGES)
+    new_rng, old_rng = RandomStream(seed), RandomStream(seed)
+    assert substitute(image, key, new_rng) == oracle_substitute(synthesize(image), key, old_rng)
+    assert new_rng.next64() == old_rng.next64()
+
+
+@pytest.mark.parametrize("position", [WINDOW_STARTS, 70000, (1 << 32) - 1])
+def test_key_position_past_the_window_fails_like_the_oracle(position):
+    image = PlainImage(3, 1, bytes([0, 1, 0]))
+    key = stub_key({1: (position,)})
+    new_rng, old_rng = RandomStream(7), RandomStream(7)
+    new = outcome(lambda: substitute(image, key, new_rng))
+    old = outcome(lambda: oracle_substitute(synthesize(image), key, old_rng))
+    assert new == old == ("PointerOutOfRange", 1, position)
+    assert new_rng.next64() == old_rng.next64()
