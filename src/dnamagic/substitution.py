@@ -185,24 +185,16 @@ class PointerGrid:
             raise ValueError(
                 f"pointer count {len(pointers)} does not match {self.width}x{self.height}"
             )
-        if not isinstance(pointers, Cells):
-            if isinstance(pointers, array) and pointers.typecode != "H":
-                pointers = pointers.tolist()  # extend refuses an array of another typecode
-            buffer = array("H")
-            try:
-                # extend copies a uint16 array whole and reads bytes as one cell
-                # per byte, where array("H", bytes) would pair them up
-                buffer.extend(pointers)
-                # extend also takes any object with __index__, which is not an int
-                if not isinstance(pointers, (array, bytes, bytearray)) and not all(
-                        issubclass(kind, int) for kind in set(map(type, pointers))):
-                    raise TypeError
-            except (OverflowError, TypeError):
-                for index, p in enumerate(pointers):
-                    if not (isinstance(p, int) and 0 <= p < WINDOW_STARTS):
-                        raise PointerOutOfRange(index, p) from None
-                raise
-            object.__setattr__(self, "pointers", Cells(buffer))
+        if isinstance(pointers, Cells):
+            return
+        if isinstance(pointers, array) and pointers.typecode == "H":
+            buffer = array("H", pointers)  # copied whole: every uint16 fits
+        else:
+            for index, p in enumerate(pointers):
+                if not (isinstance(p, int) and 0 <= p < WINDOW_STARTS):
+                    raise PointerOutOfRange(index, p)
+            buffer = array("H", list(pointers))  # list(): one cell per byte of bytes
+        object.__setattr__(self, "pointers", Cells(buffer))
 
 
 def first_uncovered(pixels: bytes, counts: Sequence[int]) -> int | None:
@@ -226,9 +218,15 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
     if first is not None:
         rng._skip(first)  # the cells before it still draw
         raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
-    wide = array("I", [occurrences[value][z % counts[value]]
-                       for value, z in zip(pixels, rng.outputs(len(pixels)))])
-    return PointerGrid(image.width, image.height, _uint16(wide))
+    cells = [occurrences[value][z % counts[value]]
+             for value, z in zip(pixels, rng.outputs(len(pixels)))]
+    try:
+        cells = array("I", cells)  # rebound, so the list is freed before the cells narrow
+    except (OverflowError, TypeError):
+        pass  # PointerGrid names the key position that is not a cell
+    else:
+        cells = _uint16(cells)
+    return PointerGrid(image.width, image.height, cells)
 
 
 # substitute builds its cells as array("I"), whose per-item conversion is far

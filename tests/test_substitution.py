@@ -300,7 +300,7 @@ def test_cells_a_uint16_cannot_hold_are_rejected(cells, random_key):
 
 
 class Five:
-    """Not an int, but array("H").extend would store it as 5."""
+    """Has an index, 5, but is not an int, so it is not a cell."""
 
     def __index__(self):
         return 5

@@ -236,7 +236,7 @@ def test_substitute_matches_frozen_oracle_at_byte_edges(width, height, seed):
     assert new_rng.next64() == old_rng.next64()
 
 
-@pytest.mark.parametrize("position", [WINDOW_STARTS, 70000, (1 << 32) - 1])
+@pytest.mark.parametrize("position", [WINDOW_STARTS, 70000, (1 << 32) - 1, -1, 1 << 32, 2.0])
 def test_key_position_past_the_window_fails_like_the_oracle(position):
     image = PlainImage(3, 1, bytes([0, 1, 0]))
     key = stub_key({1: (position,)})
@@ -244,4 +244,17 @@ def test_key_position_past_the_window_fails_like_the_oracle(position):
     new = outcome(lambda: substitute(image, key, new_rng))
     old = outcome(lambda: oracle_substitute(synthesize(image), key, old_rng))
     assert new == old == ("PointerOutOfRange", 1, position)
+    assert new_rng.next64() == old_rng.next64()
+
+
+def test_bad_key_position_past_the_first_block_fails_like_the_oracle():
+    first = 4500  # past the stream's first 4,096-draw block
+    pixels = bytearray(random.Random(72).randbytes(72 * 72).translate(bytes(range(255)) + b"\0"))
+    pixels[first] = pixels[-1] = 255
+    image = PlainImage(72, 72, bytes(pixels))
+    key = stub_key({255: (-1,)})
+    new_rng, old_rng = RandomStream(9), RandomStream(9)
+    new = outcome(lambda: substitute(image, key, new_rng))
+    old = outcome(lambda: oracle_substitute(synthesize(image), key, old_rng))
+    assert new == old == ("PointerOutOfRange", first, -1)
     assert new_rng.next64() == old_rng.next64()
