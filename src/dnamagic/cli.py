@@ -1,7 +1,8 @@
 """Command-line front end: encrypt, decrypt, analyze, attack, magic, keyinfo.
 
-Exit codes: 0 success, 1 usage error, 2 data or contract error, or a warning
-the interpreter turns into an error (printed to stderr as "ErrorName: detail").
+Exit codes: 0 success, 1 usage error, 2 data or contract error, running out of
+memory, or a warning the interpreter turns into an error (printed to stderr as
+"ErrorName: detail").
 """
 
 import argparse
@@ -25,6 +26,9 @@ EXIT_DATA = 2
 # finite and small
 MAX_SAMPLE_N = 1 << 20
 MAX_TRIALS = 1000
+
+# the file options the commands read
+_INPUTS = ("input", "key", "plain", "cipher", "known_plain", "known_cipher", "target", "truth")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,6 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_mode(p)
 
     return parser
+
+
+def _input_bytes(args) -> int:
+    """Total size of the files the command reads."""
+    paths = [Path(path) for path in map(vars(args).get, _INPUTS) if path is not None]
+    return sum(path.stat().st_size for path in paths if path.is_file())
 
 
 def _load_pgm(path: str) -> imageio.PlainImage:
@@ -261,6 +271,10 @@ def run(argv: list[str] | None = None) -> int:
     # a Warning arrives here only when the interpreter turns it into an error
     except (DnamagicError, ValueError, OSError, Warning) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:  # the command's large objects are freed by the time it lands here
+        print(f"MemoryError: {args.command} ran out of memory on "
+              f"{_input_bytes(args)} bytes of input", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -97,7 +97,7 @@ def parse_fasta(data: bytes | str, mode: str = "strict") -> NucleotideSequence:
     name = ""
     chunks: list[str] = []  # decoded per record, so no whole-key bytes copy is made
     start = 0
-    while start <= len(raw):
+    while start < len(raw):
         if raw.startswith(b">", start):
             stop = raw.find(b"\n", start)
             stop = len(raw) if stop < 0 else stop

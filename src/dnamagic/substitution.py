@@ -51,6 +51,13 @@ def _mix(z: int, low: int) -> int:
     return (z ^ (z >> 31)) & low
 
 
+def _little(buffer: array) -> array:
+    """buffer with its items in little-endian order, byteswapped in place on a big-endian host."""
+    if sys.byteorder == "big":
+        buffer.byteswap()
+    return buffer
+
+
 class RandomStream:
     """Seedable deterministic 64-bit generator (splitmix64 recurrence).
 
@@ -96,9 +103,7 @@ class RandomStream:
             # lane j of the join holds draw 2j in its low 64 bits and draw 2j+1 above
             out.frombytes((even | odd << 64).to_bytes(8 * m, "little"))
             self._skip(m)
-        if sys.byteorder == "big":
-            out.byteswap()
-        return out
+        return _little(out)
 
     def _skip(self, n: int) -> None:
         """Move the stream past n outputs without computing them."""
@@ -128,17 +133,11 @@ class Cells(Sequence):
         """Cells read from little-endian 16-bit bytes."""
         buffer = array("H")
         buffer.frombytes(data)
-        if sys.byteorder == "big":
-            buffer.byteswap()
-        return cls(buffer)
+        return cls(_little(buffer))
 
     def tobytes(self) -> bytes:
         """The cells as little-endian 16-bit bytes."""
-        if sys.byteorder == "big":
-            swapped = self.buffer[:]
-            swapped.byteswap()
-            return swapped.tobytes()
-        return self.buffer.tobytes()
+        return _little(self.buffer[:]).tobytes()
 
     def __len__(self) -> int:
         return len(self.buffer)
@@ -220,28 +219,13 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
         raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
     cells = [occurrences[value][z % counts[value]]
              for value, z in zip(pixels, rng.outputs(len(pixels)))]
-    try:
-        cells = array("I", cells)  # rebound, so the list is freed before the cells narrow
-    except (OverflowError, TypeError):
+    try:  # struct packs faster than array("H") converts; per block, so no n-item tuple
+        cells = Cells.frombytes(b"".join(
+            struct.pack(f"<{len(part)}H", *part)
+            for part in (cells[i:i + _BLOCK] for i in range(0, len(cells), _BLOCK))))
+    except struct.error:
         pass  # PointerGrid names the key position that is not a cell
-    else:
-        cells = _uint16(cells)
     return PointerGrid(image.width, image.height, cells)
-
-
-# substitute builds its cells as array("I"), whose per-item conversion is far
-# cheaper than array("H")'s, then keeps each item's low uint16 half
-_WIDE = array("I").itemsize
-_LOW_HALF = 0 if sys.byteorder == "little" else _WIDE // 2 - 1  # which uint16 of an item
-_HIGH_BYTES = range(2, _WIDE) if sys.byteorder == "little" else range(_WIDE - 2)  # bits 16 up
-
-
-def _uint16(wide: array) -> array:
-    """The items of an array("I") as one uint16 buffer, or wide itself when one is above 65535."""
-    raw = wide.tobytes()
-    if any(raw[j::_WIDE].count(0) < len(wide) for j in _HIGH_BYTES):
-        return wide  # PointerGrid names the first cell that does not fit
-    return array("H", raw)[_LOW_HALF::_WIDE // 2]
 
 
 def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:

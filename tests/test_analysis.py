@@ -1,5 +1,6 @@
 """Histogram, correlation, attack harness, and differential metrics."""
 
+import os
 import random
 import statistics
 
@@ -146,6 +147,24 @@ def test_adjacent_correlation_argument_errors():
         adjacent_correlation(bytes(64), 8, 8, "horizontal", 1, RandomStream(3))
     with pytest.raises(ValueError):
         adjacent_correlation(bytes(8), 8, 1, "vertical", 16, RandomStream(3))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: chi_square_uniform(histogram(b"")), "empty histogram"),
+    (lambda: evaluate_attack(b"", b""), "nothing to evaluate"),
+    (lambda: adjacent_correlation(bytes(64), 8, 8, "horizontal", 1, RandomStream(3)),
+     "need at least two sampled pairs"),
+])
+def test_degenerate_inputs_raise_their_own_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_adjacent_correlation_without_rng_draws_from_a_fresh_stream(monkeypatch):
+    img = random_image(random.Random(26), 16)
+    monkeypatch.setattr(os, "urandom", lambda n: (7).to_bytes(n, "little"))  # the seed 7
+    assert (adjacent_correlation(img.pixels, 16, 16, "vertical", 256)
+            == adjacent_correlation(img.pixels, 16, 16, "vertical", 256, RandomStream(7)))
 
 
 @pytest.mark.parametrize("count", [3, 100])

@@ -7,6 +7,7 @@ import random
 import struct
 import sys
 import tracemalloc
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -30,7 +31,7 @@ from dnamagic.errors import (
 from dnamagic.imageio import PlainImage
 from dnamagic.magic_square import generate_doubly_even, scramble, to_permutation
 from dnamagic.reference import MIN_KEY_LENGTH, NucleotideSequence, build_key
-from dnamagic.substitution import RandomStream, substitute
+from dnamagic.substitution import Cells, RandomStream, substitute
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 64])
@@ -272,3 +273,19 @@ def test_payload_is_byte_swapped_exactly_on_big_endian_hosts(monkeypatch):
     monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
     assert serialize(cip)[14:] == struct.pack(">16H", *cells)
     assert deserialize(serialize(cip)) == cip
+
+
+def test_draws_and_cells_are_byte_swapped_exactly_on_big_endian_hosts(monkeypatch):
+    n = 5000  # past one 4,096-draw block
+    draws = RandomStream(5).outputs(n)
+    data = struct.pack(f"<{n}H", *range(n))
+    cells = Cells.frombytes(data)
+    assert cells == tuple(range(n))
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    # a host of the other order holds each item with its bytes reversed
+    swapped_draws, swapped_cells = array("Q", draws), array("H", cells)
+    swapped_draws.byteswap()
+    swapped_cells.byteswap()
+    assert RandomStream(5).outputs(n) == swapped_draws
+    assert Cells.frombytes(data).buffer == swapped_cells
+    assert Cells.frombytes(data).tobytes() == data

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,14 @@ def test_keyinfo_reports_key_statistics(workdir, random_key, capsys):
     assert f"fingerprint: 0x{random_key.fingerprint:016x}" in out
 
 
+@pytest.mark.parametrize("header,source", [(">test key\n", "test key"), ("", "(unnamed)")])
+def test_keyinfo_names_the_key_source(random_key, tmp_path, capsys, header, source):
+    path = tmp_path / "key.fasta"
+    path.write_text(header + random_key.sequence.bases + "\n")
+    assert run(["keyinfo", "--key", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"source: {source}\nlength: 65540\n")
+
+
 def test_keyinfo_flags_incomplete_coverage(tmp_path, capsys):
     bad_key = tmp_path / "cycling.fasta"
     bad_key.write_text(">cycling\n" + ("ACGT" * 16385)[:65540] + "\n")
@@ -330,6 +339,17 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["encrypt", "--in", "x", "--key", "y", "--out", "z", "--seed", str(1 << 64)],
+     "argument --seed: seed must fit in 64 bits\n"),
+    (["analyze", "--plain", "x", "--cipher", "y", "--trials", "x"],
+     "argument --trials: not an integer: 'x'\n"),
+])
+def test_option_values_out_of_their_type_are_usage_errors(argv, message, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr().err.endswith(message)
+
+
 @pytest.mark.parametrize("command", ["encrypt", "decrypt", "analyze", "attack", "magic", "keyinfo"])
 def test_help_exits_zero(command, capsys):
     assert run([command, "--help"]) == 0
@@ -369,15 +389,20 @@ def lonely_key(tmp_path_factory):
     return path
 
 
+def _child_env() -> dict:
+    """The environment of a CLI child: this source tree, default warning filters."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def _encrypt_in_subprocess(workdir, key_path, out, *python_flags) -> subprocess.CompletedProcess:
     """`dnamagic encrypt` in a fresh interpreter, under the default warning filters
     unless python_flags change them."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *python_flags, "-m", "dnamagic.cli", "encrypt",
                            "--in", str(workdir / "sample.pgm"), "--key", str(key_path),
                            "--out", str(out), "--seed", "1"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
 
 
 def test_key_warning_turned_into_an_error_exits_2(workdir, lonely_key, tmp_path, capsys):
@@ -405,3 +430,47 @@ def test_key_warning_under_w_error_exits_2_without_a_traceback(workdir, lonely_k
     assert result.returncode == 2
     assert result.stderr.startswith("SingleOccurrenceWarning: ")
     assert "Traceback" not in result.stderr
+
+
+# ---- running out of memory ----
+
+# An address-space cap on the child alone.  The interpreter runs --help in
+# under 30 MB; encrypt and decrypt of a 2048x2048 image need about 90-110 MB.
+AS_CAP = 48 << 20
+SIDE = 2048
+
+
+@pytest.fixture(scope="module")
+def big_files(tmp_path_factory):
+    """A 2048x2048 image and a container of that size, on disk."""
+    root = tmp_path_factory.mktemp("big")
+    (root / "big.pgm").write_bytes(write_pgm(PlainImage(SIDE, SIDE, bytes(SIDE * SIDE))))
+    pointers = array("H", bytes(2 * SIDE * SIDE))
+    (root / "big.dmc").write_bytes(serialize(CipherImage(SIDE, SIDE, pointers)))
+    return root
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize("command", ["--help", "encrypt", "decrypt"])
+def test_running_out_of_memory_exits_2_with_one_line(workdir, big_files, tmp_path, command):
+    out = tmp_path / "out"
+    key = str(workdir / "key.fasta")
+    argv = {"--help": ["--help"],
+            "encrypt": ["encrypt", "--in", str(big_files / "big.pgm"), "--key", key,
+                        "--out", str(out), "--seed", "1"],
+            "decrypt": ["decrypt", "--in", str(big_files / "big.dmc"), "--key", key,
+                        "--out", str(out)]}[command]
+    import resource  # POSIX only
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (AS_CAP, AS_CAP))
+
+    result = subprocess.run([sys.executable, "-m", "dnamagic.cli", *argv], preexec_fn=cap,
+                            capture_output=True, text=True, env=_child_env(), timeout=120)
+    if command == "--help":  # the cap leaves room for the interpreter itself
+        assert result.returncode == 0, result.stderr
+        return
+    size = Path(argv[2]).stat().st_size + Path(key).stat().st_size
+    assert result.returncode == 2
+    assert result.stderr == f"MemoryError: {command} ran out of memory on {size} bytes of input\n"
+    assert result.stdout == "" and not out.exists()

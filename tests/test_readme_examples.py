@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import dnamagic
 from conftest import KEY_SEED, random_bases
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -27,3 +28,8 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
     namespace: dict = {}
     for number, block in enumerate(BLOCKS, 1):
         exec(compile(block, f"README.md python block {number}", "exec"), namespace)
+
+
+def test_readme_mentions_every_public_name():
+    text = README.read_text()
+    assert [name for name in dnamagic.__all__ if not re.search(rf"\b{name}\b", text)] == []

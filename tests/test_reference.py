@@ -105,6 +105,10 @@ def test_parse_is_idempotent_on_clean_sequences():
     assert twice.bases == once.bases == bases
 
 
+def test_sequence_length_is_its_base_count():
+    assert len(NucleotideSequence("ACGTA")) == 5
+
+
 def test_sequence_type_rejects_non_acgt():
     with pytest.raises(ValueError):
         NucleotideSequence("ACGU")

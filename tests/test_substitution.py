@@ -255,6 +255,10 @@ def test_tuple_and_buffer_built_grids_are_the_same_value():
     assert a.pointers[1:3] == (1, 65535) and a.pointers[-1] == 7 and list(a.pointers) == [*cells]
 
 
+def test_cells_are_not_equal_to_a_list_of_their_values():
+    assert (PointerGrid(2, 1, (1, 2)).pointers == [1, 2]) is False
+
+
 @pytest.mark.parametrize("typecode", "bBhHiIlLqQ")
 def test_int_arrays_whose_cells_fit_are_cells_whatever_their_typecode(typecode):
     cells = (0, 1, 127, 7)
