@@ -17,6 +17,7 @@ Container layout (all integers little-endian):
 """
 
 import struct
+from array import array
 from dataclasses import dataclass
 
 from .errors import BadMagic, DimensionError, TruncatedPayload, UnsupportedVersion, WrongKey
@@ -66,10 +67,10 @@ def decrypt(cipher: CipherImage, key: ReferenceKey) -> PlainImage:
     _check_dimensions(cipher.width, cipher.height)
     if cipher.flags & FLAG_FINGERPRINT and cipher.fingerprint != key.fingerprint:
         raise WrongKey(cipher.fingerprint or 0, key.fingerprint)
-    # the scramble is its own inverse
-    grid = PointerGrid(cipher.width, cipher.height,
-                       scramble_square(cipher.pointers.buffer, cipher.width))
-    return reverse_substitute(grid, key)
+    # reading a cell back commutes with the scramble, its own inverse: unscramble the pixels
+    plain = reverse_substitute(cipher, key)
+    pixels = scramble_square(array("B", plain.pixels), cipher.width).tobytes()
+    return PlainImage(cipher.width, cipher.height, pixels)
 
 
 def _pack(fmt: str, field: str, values: tuple[int, ...]) -> bytes:

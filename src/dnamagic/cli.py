@@ -27,9 +27,6 @@ EXIT_DATA = 2
 MAX_SAMPLE_N = 1 << 20
 MAX_TRIALS = 1000
 
-# the file options the commands read
-_INPUTS = ("input", "key", "plain", "cipher", "known_plain", "known_cipher", "target", "truth")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -72,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how to treat non-ACGT symbols in the key file (default: strict)")
 
     p = sub.add_parser("encrypt", help="encrypt a PGM image")
-    p.add_argument("--in", dest="input", required=True, help="plaintext PGM file")
-    p.add_argument("--key", required=True, help="key FASTA file")
+    p.set_defaults(handler=_cmd_encrypt)
+    p.add_argument("--in", dest="input", type=Path, required=True, help="plaintext PGM file")
+    p.add_argument("--key", type=Path, required=True, help="key FASTA file")
     p.add_argument("--out", required=True, help="output DMC1 container")
     p.add_argument("--seed", type=_seed_value, default=None,
                    help="64-bit seed, decimal or 0x-hex; omitted: OS entropy, echoed to stderr")
@@ -82,15 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_mode(p)
 
     p = sub.add_parser("decrypt", help="decrypt a DMC1 container")
-    p.add_argument("--in", dest="input", required=True, help="ciphertext DMC1 file")
-    p.add_argument("--key", required=True, help="key FASTA file")
+    p.set_defaults(handler=_cmd_decrypt)
+    p.add_argument("--in", dest="input", type=Path, required=True, help="ciphertext DMC1 file")
+    p.add_argument("--key", type=Path, required=True, help="key FASTA file")
     p.add_argument("--out", required=True, help="output PGM file")
     add_mode(p)
 
     p = sub.add_parser("analyze",
                        help="histogram and correlation report for a plain/cipher pair")
-    p.add_argument("--plain", required=True, help="plaintext PGM file")
-    p.add_argument("--cipher", required=True, help="ciphertext DMC1 file")
+    p.set_defaults(handler=_cmd_analyze)
+    p.add_argument("--plain", type=Path, required=True, help="plaintext PGM file")
+    p.add_argument("--cipher", type=Path, required=True, help="ciphertext DMC1 file")
     p.add_argument("--csv", default=None, help="also write metric,direction,value rows here")
     p.add_argument("--sample-n", type=_int_in(2, MAX_SAMPLE_N),
                    default=analysis.DEFAULT_SAMPLE_PAIRS,
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: %(default)s)")
     p.add_argument("--seed", type=_seed_value, default=None,
                    help="sampling seed; omitted: OS entropy, echoed to stderr")
-    p.add_argument("--key", default=None,
+    p.add_argument("--key", type=Path, default=None,
                    help="key FASTA file; enables the differential sensitivity metrics")
     p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=10,
                    help=f"differential trials when --key is given, 1 to {MAX_TRIALS} "
@@ -107,37 +107,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack",
                        help="run the XOR-replay attack and score it against the truth")
-    p.add_argument("--known-plain", required=True, help="known plaintext PGM")
-    p.add_argument("--known-cipher", required=True, help="its ciphertext DMC1")
-    p.add_argument("--target", required=True, help="ciphertext DMC1 to attack")
-    p.add_argument("--truth", required=True, help="true plaintext PGM of the target")
+    p.set_defaults(handler=_cmd_attack)
+    p.add_argument("--known-plain", type=Path, required=True, help="known plaintext PGM")
+    p.add_argument("--known-cipher", type=Path, required=True, help="its ciphertext DMC1")
+    p.add_argument("--target", type=Path, required=True, help="ciphertext DMC1 to attack")
+    p.add_argument("--truth", type=Path, required=True, help="true plaintext PGM of the target")
 
     p = sub.add_parser("magic", help="print a doubly-even magic square")
+    p.set_defaults(handler=_cmd_magic)
     p.add_argument("--order", type=int, required=True, help="side length, a multiple of 4")
 
     p = sub.add_parser("keyinfo", help="report key file statistics")
-    p.add_argument("--key", required=True, help="key FASTA file")
+    p.set_defaults(handler=_cmd_keyinfo)
+    p.add_argument("--key", type=Path, required=True, help="key FASTA file")
     add_mode(p)
 
     return parser
 
 
 def _input_bytes(args) -> int:
-    """Total size of the files the command reads."""
-    paths = [Path(path) for path in map(vars(args).get, _INPUTS) if path is not None]
-    return sum(path.stat().st_size for path in paths if path.is_file())
+    """Total size of the files the command reads: the options build_parser types as Path."""
+    return sum(value.stat().st_size for value in vars(args).values()
+               if isinstance(value, Path) and value.is_file())
 
 
-def _load_pgm(path: str) -> imageio.PlainImage:
-    return imageio.read_pgm(Path(path).read_bytes())
+def _load_pgm(path: Path) -> imageio.PlainImage:
+    return imageio.read_pgm(path.read_bytes())
 
 
-def _load_cipher(path: str) -> cipher.CipherImage:
-    return cipher.deserialize(Path(path).read_bytes())
+def _load_cipher(path: Path) -> cipher.CipherImage:
+    return cipher.deserialize(path.read_bytes())
 
 
-def _load_key(path: str, mode: str) -> reference.ReferenceKey:
-    return reference.build_key(reference.parse_fasta(Path(path).read_bytes(), mode=mode))
+def _load_key(path: Path, mode: str) -> reference.ReferenceKey:
+    return reference.build_key(reference.parse_fasta(path.read_bytes(), mode=mode))
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -182,15 +185,11 @@ def _cmd_analyze(args) -> int:
     # every input is read and the report opened before any metric is computed
     with (open(args.csv, "w", newline="") if args.csv is not None else nullcontext()) as report:
         seed = _resolve_seed(args.seed)
-        rows: list[tuple[str, str, float]] = []
-        for direction in analysis.DIRECTIONS:
-            rows.append(("plain_correlation", direction,
-                         _correlation(plain.pixels, plain.width, plain.height, direction,
-                                      args.sample_n, seed)))
-        for direction in analysis.DIRECTIONS:
-            rows.append(("cipher_correlation", direction,
-                         _correlation(blob.pointers, blob.width, blob.height, direction,
-                                      args.sample_n, seed)))
+        rows = [(metric, direction,
+                 _correlation(cells, grid.width, grid.height, direction, args.sample_n, seed))
+                for metric, grid, cells in (("plain_correlation", plain, plain.pixels),
+                                            ("cipher_correlation", blob, blob.pointers))
+                for direction in analysis.DIRECTIONS]
         rows.append(("plain_histogram_chi2", "",
                      analysis.chi_square_uniform(analysis.histogram(plain.pixels))))
         rows.append(("cipher_histogram_chi2", "", analysis.chi_square_uniform(
@@ -236,7 +235,7 @@ def _cmd_magic(args) -> int:
 
 
 def _cmd_keyinfo(args) -> int:
-    seq = reference.parse_fasta(Path(args.key).read_bytes(), mode=args.mode)
+    seq = reference.parse_fasta(args.key.read_bytes(), mode=args.mode)
     print(f"source: {seq.source_name or '(unnamed)'}")
     print(f"length: {len(seq.bases)}")
     index = reference.scan_index(seq)
@@ -250,16 +249,6 @@ def _cmd_keyinfo(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "encrypt": _cmd_encrypt,
-    "decrypt": _cmd_decrypt,
-    "analyze": _cmd_analyze,
-    "attack": _cmd_attack,
-    "magic": _cmd_magic,
-    "keyinfo": _cmd_keyinfo,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -267,7 +256,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help (0) and usage errors (1)
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     # a Warning arrives here only when the interpreter turns it into an error
     except (DnamagicError, ValueError, OSError, Warning) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -91,7 +91,7 @@ def test_decrypt_holds_a_few_bytes_per_cell(random_key):
     finally:
         tracemalloc.stop()
     assert plain == img
-    assert peak <= 16 * 256 * 256
+    assert peak <= 13 * 256 * 256
 
 
 def test_encrypt_holds_a_few_bytes_per_cell(random_key):

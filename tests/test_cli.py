@@ -474,3 +474,42 @@ def test_running_out_of_memory_exits_2_with_one_line(workdir, big_files, tmp_pat
     assert result.returncode == 2
     assert result.stderr == f"MemoryError: {command} ran out of memory on {size} bytes of input\n"
     assert result.stdout == "" and not out.exists()
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# each command, the first loader it calls and its options; an int names an input
+# file of that many bytes, each size a distinct power of two
+OUT_OF_MEMORY_CASES = {
+    "encrypt": ("imageio.read_pgm", ["--in", 1, "--key", 2, "--out", "o.dmc", "--seed", "1"]),
+    "decrypt": ("cipher.deserialize", ["--in", 4, "--key", 8, "--out", "o.pgm"]),
+    "analyze": ("imageio.read_pgm", ["--plain", 16, "--cipher", 32, "--key", 64,
+                                     "--csv", "o.csv", "--seed", "1"]),
+    "attack": ("imageio.read_pgm", ["--known-plain", 128, "--known-cipher", 256,
+                                    "--target", 512, "--truth", 1024]),
+    "magic": ("magic_square.generate_doubly_even", ["--order", "8"]),
+    "keyinfo": ("reference.parse_fasta", ["--key", 2048]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_OF_MEMORY_CASES))
+def test_out_of_memory_line_counts_exactly_the_files_the_command_reads(
+        tmp_path, monkeypatch, capsys, command):
+    loader, options = OUT_OF_MEMORY_CASES[command]
+    monkeypatch.setattr(f"dnamagic.{loader}", _out_of_memory)
+    argv, size = [command], 0
+    for flag, value in zip(options[::2], options[1::2]):
+        if isinstance(value, int):
+            path = tmp_path / flag.lstrip("-")
+            path.write_bytes(bytes(value))
+            value, size = path, size + value
+        elif flag in ("--out", "--csv"):  # already holds bytes, so counting it would show
+            value = tmp_path / value
+            value.write_bytes(bytes(4096))
+        argv += [flag, str(value)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"MemoryError: {command} ran out of memory on {size} bytes of input\n"
