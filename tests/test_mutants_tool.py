@@ -2,7 +2,6 @@
 
 import ast
 import importlib.util
-import json
 import sys
 from pathlib import Path
 
@@ -34,6 +33,7 @@ def mutants(monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "KNOWN_EQUIVALENTS",
                         {("src/fixture.py", "count_up", "return i"): "skipped for this test"})
+    monkeypatch.setattr(module, "TIMEOUT_S", 10)  # ends the endless-loop mutant sooner
     return module
 
 
@@ -44,11 +44,8 @@ def test_sampler_reports_each_outcome(tmp_path, mutants):
     (tree / "tests").mkdir()
     (tree / "src" / "fixture.py").write_text(FIXTURE)
     (tree / "tests" / "test_fixture.py").write_text(FIXTURE_TEST)
-    report_path = tmp_path / "report.json"
-    code = mutants.main(["src/fixture.py", "--root", str(tree), "--timeout", "5",
-                         "--report", str(report_path)])
-    report = json.loads(report_path.read_text())
-    assert code == 1  # a mutant survived
+    report = mutants.sample(tree, ["src/fixture.py"])
+    assert report["timeout_s"] == 10
     assert report["modules"] == {"src/fixture.py": {
         "statements": 5, "killed": 2, "survived": 1, "timeouts": 1, "skipped": 1}}
     assert report["survivors"] == [{"file": "src/fixture.py", "line": 6, "statement": "unused = n"}]
@@ -57,13 +54,14 @@ def test_sampler_reports_each_outcome(tmp_path, mutants):
     assert (tree / "src" / "fixture.py").read_text() == FIXTURE
 
 
-def test_sampler_refuses_a_tree_whose_tests_fail(tmp_path, mutants, capsys):
+def test_sampler_refuses_a_tree_whose_tests_fail(tmp_path, mutants, monkeypatch, capsys):
     tree = tmp_path / "tree"
     (tree / "src").mkdir(parents=True)
     (tree / "tests").mkdir()
     (tree / "src" / "fixture.py").write_text(FIXTURE.replace("return i", "return -i"))
     (tree / "tests" / "test_fixture.py").write_text(FIXTURE_TEST)
-    assert mutants.main(["src/fixture.py", "--root", str(tree), "--timeout", "30"]) == 2
+    monkeypatch.setattr(mutants, "ROOT", tree)
+    assert mutants.main(["src/fixture.py"]) == 2
     assert capsys.readouterr().err == "the unmutated tree fails its tests\n"
 
 
@@ -74,3 +72,8 @@ def test_deleting_an_elif_branch_leaves_its_if_with_an_empty_else(mutants):
     namespace = {}
     exec(compile(mutants.delete(source, branch), "sign", "exec"), namespace)
     assert [namespace["sign"](x) for x in (5, -5, 0)] == [1, 0, 0]
+
+
+def test_pass_and_bare_strings_are_not_mutated(mutants):
+    source = b'def f():\n    """Doc."""\n    "note"\n    x = 1\n    pass\n    return x\n'
+    assert [node.lineno for _, node in mutants.statements(ast.parse(source))] == [4, 6]

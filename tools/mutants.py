@@ -1,16 +1,17 @@
 """Statement-deletion mutation sampler.
 
 Each statement inside a function body of the chosen modules (bare string
-statements such as docstrings excepted) is replaced by `pass`, one at a time,
-in a temporary copy of the tree, and `python -m pytest -x -q tests` is run
-there against that copy's `src`.  A mutant whose run fails is killed; one whose
-run passes survived, so no test notices that statement.  A run that outlasts
---timeout is stopped with its whole process group and reported as a timeout:
-deleting a step can keep a loop from ending.  Statements in KNOWN_EQUIVALENTS
-are skipped.
+statements such as docstrings, and `pass` itself, excepted) is replaced by
+`pass`, one at a time, in a temporary copy of the tree, and the tests are run
+there against that copy's `src` (TEST_COMMAND; this tool's own test is left
+out, as it would start the sampler again inside every mutant's run).  A mutant
+whose run fails is killed; one whose run passes survived, so no test notices
+that statement.  A run that outlasts TIMEOUT_S is stopped with its whole
+process group and reported as a timeout: deleting a step can keep a loop from
+ending.  Statements in KNOWN_EQUIVALENTS are skipped.
 
     python tools/mutants.py                         # every module of src/dnamagic
-    python tools/mutants.py src/dnamagic/dna.py --timeout 300 --report dna.json
+    python tools/mutants.py src/dnamagic/dna.py --report dna.json
 
 The JSON report (to --report, or stdout) has per-module counts and the file,
 line and statement of every survivor and timeout.  Exit status: 0 when no
@@ -30,7 +31,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TEST_COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
+TEST_COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                "--ignore=tests/test_mutants_tool.py", "tests"]
+TIMEOUT_S = 300  # seconds one test run may take
 
 # (module, enclosing function, first line of the statement): reason it survives
 KNOWN_EQUIVALENTS = {
@@ -46,18 +49,20 @@ KNOWN_EQUIVALENTS = {
      "even, odd, ones = even & even_low, odd & odd_low, ones & even_low"):
         "pre-mask of a partial block: the later masks give the same draws, it only keeps "
         "short draws such as next64 cheap",
-    ("src/dnamagic/substitution.py", "substitute", "pass"):
-        "replacing pass with pass changes nothing",
 }
 
 
 def statements(tree: ast.Module):
-    """(enclosing function's qualified name, statement) for each statement in a function body."""
+    """(enclosing function's qualified name, statement) for each statement in a function body.
+
+    Bare strings and `pass` are left out: replacing them with `pass` changes nothing.
+    """
     def visit(node, scope, in_function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt) and in_function and not (
-                    isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant)
-                    and isinstance(child.value.value, str)):
+            inert = isinstance(child, ast.Pass) or (
+                isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant)
+                and isinstance(child.value.value, str))
+            if isinstance(child, ast.stmt) and in_function and not inert:
                 yield scope, child
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from visit(child, f"{scope}.{child.name}" if scope else child.name,
@@ -77,27 +82,27 @@ def delete(source: bytes, node: ast.stmt) -> bytes:
     return source[:start] + replacement + source[end:]
 
 
-def run_tests(tree: Path, timeout: float) -> str:
+def run_tests(tree: Path) -> str:
     """'passed', 'failed' or 'timeout' for the test suite of the copy at tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     with subprocess.Popen(TEST_COMMAND, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, start_new_session=True) as proc:
         try:
-            return "passed" if proc.wait(timeout) == 0 else "failed"
+            return "passed" if proc.wait(TIMEOUT_S) == 0 else "failed"
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)  # pytest's own children go too
             return "timeout"
 
 
-def sample(root: Path, modules: list[str], timeout: float) -> dict | None:
+def sample(root: Path, modules: list[str]) -> dict | None:
     """The report for modules (paths relative to root), or None when the unmutated tests fail."""
-    report = {"command": " ".join(["python", *TEST_COMMAND[1:]]), "timeout_s": timeout,
+    report = {"command": " ".join(["python", *TEST_COMMAND[1:]]), "timeout_s": TIMEOUT_S,
               "modules": {}, "survivors": [], "timeouts": []}
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch) / "tree"
         shutil.copytree(root, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"))
-        if run_tests(tree, timeout) != "passed":
+        if run_tests(tree) != "passed":
             return None
         for module in modules:
             path = tree / module
@@ -111,7 +116,7 @@ def sample(root: Path, modules: list[str], timeout: float) -> dict | None:
                     counts["skipped"] += 1
                     continue
                 path.write_bytes(delete(source, node))
-                outcome = run_tests(tree, timeout)
+                outcome = run_tests(tree)
                 path.write_bytes(source)
                 print(f"{module}:{node.lineno}: {outcome}: {text}", file=sys.stderr, flush=True)
                 found = {"file": module, "line": node.lineno, "statement": text}
@@ -130,15 +135,12 @@ def sample(root: Path, modules: list[str], timeout: float) -> dict | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="*",
-                        help="module paths relative to --root (default: src/dnamagic/*.py)")
-    parser.add_argument("--root", type=Path, default=ROOT, help="tree to copy (default: this repo)")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds one test run may take (default: %(default)s)")
+                        help="module paths relative to the repo (default: src/dnamagic/*.py)")
     parser.add_argument("--report", type=Path, default=None, help="write the JSON report here")
     args = parser.parse_args(argv)
     modules = args.modules or sorted(
-        path.relative_to(args.root).as_posix() for path in (args.root / "src/dnamagic").glob("*.py"))
-    report = sample(args.root, modules, args.timeout)
+        path.relative_to(ROOT).as_posix() for path in (ROOT / "src/dnamagic").glob("*.py"))
+    report = sample(ROOT, modules)
     if report is None:
         print("the unmutated tree fails its tests", file=sys.stderr)
         return 2
