@@ -8,11 +8,10 @@ from dataclasses import dataclass
 from operator import mod, ne
 
 from .cipher import _check_dimensions, encrypt
-from .dna import BYTE_TO_QUAD
-from .errors import LengthMismatch, QuadNotCovered, ZeroVariance
+from .errors import LengthMismatch, ZeroVariance
 from .imageio import PlainImage
 from .reference import ReferenceKey
-from .substitution import Cells, RandomStream, first_uncovered
+from .substitution import Cells, RandomStream
 
 DIRECTIONS = ("horizontal", "vertical", "diagonal")
 DEFAULT_SAMPLE_PAIRS = 4096
@@ -159,21 +158,18 @@ def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
     Each trial draws a pixel index, then the seeds of the original's and the
     bumped image's streams, and counts the changed cells from the two streams'
     draws without encrypting: the scramble permutes both grids alike, and
-    substitute's draw z picks occurrences[v][z % m(v)], m(v) = len(occurrences[v]).
-    As one value's positions are distinct, any cell but the bumped one changes
-    exactly when its two draws differ modulo m(pixel).  Raises ValueError,
-    before any draw, for an image value whose key positions repeat.
+    substitute's draw z picks occurrences[v][z % m(v)], m(v) = len(occurrences[v]) >= 1
+    (a ReferenceKey covers every value).  As one value's positions are distinct, any
+    cell but the bumped one changes exactly when its two draws differ modulo m(pixel).
+    Raises ValueError, before any draw, for an image value whose key positions repeat.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    # the errors encrypt would raise, in the same order
+    # the error encrypt would raise
     _check_dimensions(image.width, image.height)
     occurrences = key.index.occurrences
     counts = [len(options) for options in occurrences]
     pixels = image.pixels
-    first = first_uncovered(pixels, counts)
-    if first is not None:
-        raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
     for value in sorted(set(pixels)):
         if len(set(occurrences[value])) < counts[value]:
             raise ValueError(f"value {value} has a repeated key position")
@@ -186,8 +182,6 @@ def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
         bumped = RandomStream(rng.next64()).outputs(n)
         value = pixels[index]
         new_value = (value + 1) % 256
-        if not counts[new_value]:
-            raise QuadNotCovered(BYTE_TO_QUAD[new_value])
         changed = sum(map(ne, map(mod, original, moduli), map(mod, bumped, moduli)))
         # the bumped cell draws from another value's positions: compare its real pointers
         z1, z2 = original[index], bumped[index]

@@ -70,9 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encrypt", help="encrypt a PGM image")
     p.set_defaults(handler=_cmd_encrypt)
-    p.add_argument("--in", dest="input", type=Path, required=True, help="plaintext PGM file")
-    p.add_argument("--key", type=Path, required=True, help="key FASTA file")
-    p.add_argument("--out", required=True, help="output DMC1 container")
+    p.add_argument("--in", dest="input", type=_read, required=True, help="plaintext PGM file")
+    p.add_argument("--key", type=_read, required=True, help="key FASTA file")
+    p.add_argument("--out", type=_write, required=True, help="output DMC1 container")
     p.add_argument("--seed", type=_seed_value, default=None,
                    help="64-bit seed, decimal or 0x-hex; omitted: OS entropy, echoed to stderr")
     p.add_argument("--fingerprint", action="store_true",
@@ -81,24 +81,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decrypt", help="decrypt a DMC1 container")
     p.set_defaults(handler=_cmd_decrypt)
-    p.add_argument("--in", dest="input", type=Path, required=True, help="ciphertext DMC1 file")
-    p.add_argument("--key", type=Path, required=True, help="key FASTA file")
-    p.add_argument("--out", required=True, help="output PGM file")
+    p.add_argument("--in", dest="input", type=_read, required=True, help="ciphertext DMC1 file")
+    p.add_argument("--key", type=_read, required=True, help="key FASTA file")
+    p.add_argument("--out", type=_write, required=True, help="output PGM file")
     add_mode(p)
 
     p = sub.add_parser("analyze",
                        help="histogram and correlation report for a plain/cipher pair")
     p.set_defaults(handler=_cmd_analyze)
-    p.add_argument("--plain", type=Path, required=True, help="plaintext PGM file")
-    p.add_argument("--cipher", type=Path, required=True, help="ciphertext DMC1 file")
-    p.add_argument("--csv", default=None, help="also write metric,direction,value rows here")
+    p.add_argument("--plain", type=_read, required=True, help="plaintext PGM file")
+    p.add_argument("--cipher", type=_read, required=True, help="ciphertext DMC1 file")
+    p.add_argument("--csv", type=_write, help="also write metric,direction,value rows here")
     p.add_argument("--sample-n", type=_int_in(2, MAX_SAMPLE_N),
                    default=analysis.DEFAULT_SAMPLE_PAIRS,
                    help=f"adjacent pairs sampled per direction, 2 to {MAX_SAMPLE_N} "
                         "(default: %(default)s)")
     p.add_argument("--seed", type=_seed_value, default=None,
                    help="sampling seed; omitted: OS entropy, echoed to stderr")
-    p.add_argument("--key", type=Path, default=None,
+    p.add_argument("--key", type=_read, default=None,
                    help="key FASTA file; enables the differential sensitivity metrics")
     p.add_argument("--trials", type=_int_in(1, MAX_TRIALS), default=10,
                    help=f"differential trials when --key is given, 1 to {MAX_TRIALS} "
@@ -108,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack",
                        help="run the XOR-replay attack and score it against the truth")
     p.set_defaults(handler=_cmd_attack)
-    p.add_argument("--known-plain", type=Path, required=True, help="known plaintext PGM")
-    p.add_argument("--known-cipher", type=Path, required=True, help="its ciphertext DMC1")
-    p.add_argument("--target", type=Path, required=True, help="ciphertext DMC1 to attack")
-    p.add_argument("--truth", type=Path, required=True, help="true plaintext PGM of the target")
+    p.add_argument("--known-plain", type=_read, required=True, help="known plaintext PGM")
+    p.add_argument("--known-cipher", type=_read, required=True, help="its ciphertext DMC1")
+    p.add_argument("--target", type=_read, required=True, help="ciphertext DMC1 to attack")
+    p.add_argument("--truth", type=_read, required=True, help="true plaintext PGM of the target")
 
     p = sub.add_parser("magic", help="print a doubly-even magic square")
     p.set_defaults(handler=_cmd_magic)
@@ -119,14 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keyinfo", help="report key file statistics")
     p.set_defaults(handler=_cmd_keyinfo)
-    p.add_argument("--key", type=Path, required=True, help="key FASTA file")
+    p.add_argument("--key", type=_read, required=True, help="key FASTA file")
     add_mode(p)
 
     return parser
 
 
 def _input_bytes(args) -> int:
-    """Total size of the files the command reads: the options build_parser types as Path."""
+    """Total size of the files the command reads: the options build_parser reads as Path."""
     return sum(value.stat().st_size for value in vars(args).values()
                if isinstance(value, Path) and value.is_file())
 
@@ -141,6 +141,18 @@ def _load_cipher(path: Path) -> cipher.CipherImage:
 
 def _load_key(path: Path, mode: str) -> reference.ReferenceKey:
     return reference.build_key(reference.parse_fasta(path.read_bytes(), mode=mode))
+
+
+def _file_name(kind: type):
+    """argparse type for a file name as kind; "" is refused, since Path("") is Path(".")."""
+    def parse(text: str):
+        if not text:
+            raise argparse.ArgumentTypeError("empty file name")
+        return kind(text)
+    return parse
+
+
+_read, _write = _file_name(Path), _file_name(str)  # build_parser's file types
 
 
 def _resolve_seed(seed: int | None) -> int:

@@ -98,11 +98,6 @@ class LengthMismatch(DnamagicError):
     message = "length mismatch: expected {expected}, got {actual}"
 
 
-class QuadNotCovered(DnamagicError):
-    fields = ("quad",)
-    message = "quad {quad} has no occurrence in the key window"
-
-
 class PointerOutOfRange(DnamagicError):
     fields = ("index", "value")
     message = "pointer {value} at cell {index} lies outside the key window"

@@ -70,6 +70,12 @@ class ReferenceKey:
     index: KmerIndex
     fingerprint: int
 
+    def __post_init__(self):
+        missing = [BYTE_TO_QUAD[v] for v in range(256)  # a short index misses the values past it
+                   if v >= len(self.index.occurrences) or not self.index.occurrences[v]]
+        if missing:
+            raise QuadCoverageError(missing)
+
     @cached_property
     def decode_table(self) -> bytes:
         """pixel_table of the key's bases, built on first use and then kept with the key."""
@@ -156,34 +162,25 @@ def pixel_table(bases: str) -> bytes:
 
 def scan_index(seq: NucleotideSequence) -> KmerIndex:
     """Bucket start positions 0..65535 by the pixel value of their word;
-    quads with zero occurrences are allowed here (build_key enforces coverage)."""
+    quads with zero occurrences are allowed here (ReferenceKey enforces coverage)."""
     positions: list[list[int]] = [[] for _ in range(256)]
     for p, value in enumerate(pixel_table(seq.bases)):
         # scan order keeps every occurrence list strictly increasing
         positions[value].append(p)
-    return KmerIndex(
-        occurrences=tuple(tuple(lst) for lst in positions),
-        min_multiplicity=min(len(lst) for lst in positions),
-    )
+    occurrences = tuple(tuple(lst) for lst in positions)
+    return KmerIndex(occurrences, min(map(len, occurrences)))
 
 
 def build_key(seq: NucleotideSequence) -> ReferenceKey:
-    """Index the sequence and verify that every quad can be encrypted.
+    """Index the sequence into a key, which can encrypt every quad.
 
-    Raises QuadCoverageError when any of the 256 quads never occurs in the
-    window.  Warns (SingleOccurrenceWarning) when some quad occurs exactly
-    once, since its substitution is then deterministic.
+    Raises QuadCoverageError (from ReferenceKey) when any of the 256 quads
+    never occurs in the window.  Warns (SingleOccurrenceWarning) when some
+    quad occurs exactly once, since its substitution is then deterministic.
     """
-    index = scan_index(seq)
-    missing = [BYTE_TO_QUAD[v] for v, lst in enumerate(index.occurrences) if not lst]
-    if missing:
-        raise QuadCoverageError(missing)
-    if index.min_multiplicity == 1:
-        lonely = [BYTE_TO_QUAD[v] for v, lst in enumerate(index.occurrences) if len(lst) == 1]
-        warnings.warn(
-            f"quads occurring only once in the key window: {', '.join(lonely)}; "
-            "their substitution is deterministic",
-            SingleOccurrenceWarning,
-            stacklevel=2,
-        )
-    return ReferenceKey(seq, index, key_fingerprint(seq))
+    key = ReferenceKey(seq, scan_index(seq), key_fingerprint(seq))
+    if key.index.min_multiplicity == 1:
+        lonely = [BYTE_TO_QUAD[v] for v, lst in enumerate(key.index.occurrences) if len(lst) == 1]
+        warnings.warn(f"quads occurring only once in the key window: {', '.join(lonely)}; "
+                      "their substitution is deterministic", SingleOccurrenceWarning, stacklevel=2)
+    return key

@@ -10,8 +10,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .dna import BYTE_TO_QUAD
-from .errors import PointerOutOfRange, QuadNotCovered
+from .errors import PointerOutOfRange
 from .imageio import PlainImage
 from .reference import ReferenceKey, WINDOW_STARTS
 
@@ -196,13 +195,6 @@ class PointerGrid:
         object.__setattr__(self, "pointers", Cells(buffer))
 
 
-def first_uncovered(pixels: bytes, counts: Sequence[int]) -> int | None:
-    """Index of the first pixel whose value has no key position (counts[value] == 0), or None."""
-    # empty for keys produced by build_key, which enforces coverage
-    uncovered = [value for value, count in enumerate(counts) if not count and value in pixels]
-    return min(map(pixels.index, uncovered)) if uncovered else None
-
-
 def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> PointerGrid:
     """Replace every pixel with one of its word's key positions, drawn uniformly.
 
@@ -212,11 +204,7 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
     """
     occurrences = key.index.occurrences
     pixels = image.pixels
-    counts = [len(options) for options in occurrences]
-    first = first_uncovered(pixels, counts)
-    if first is not None:
-        rng._skip(first)  # the cells before it still draw
-        raise QuadNotCovered(BYTE_TO_QUAD[pixels[first]])
+    counts = [len(options) for options in occurrences]  # a ReferenceKey covers every value
     cells = [occurrences[value][z % counts[value]]
              for value, z in zip(pixels, rng.outputs(len(pixels)))]
     try:  # struct packs faster than array("H") converts; per block, so no n-item tuple

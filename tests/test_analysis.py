@@ -5,6 +5,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_image
 from dnamagic.analysis import (
@@ -294,9 +296,18 @@ def test_paired_seed_rejects_a_pixel_index_outside_the_image(pixel_index):
                                  pixel_index)
 
 
-def test_paired_seed_changes_exactly_one_cell(random_key):
-    rng = random.Random(30)
-    img = random_image(rng, 16)
-    for trial in range(5):
-        pixel = rng.randrange(256)
-        assert differential_paired_seed(img, random_key, 1000 + trial, pixel) == 1
+@st.composite
+def paired_seed_cases(draw):
+    side = draw(st.sampled_from(range(4, 33, 4)))
+    pixels = draw(st.binary(min_size=side * side, max_size=side * side))
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    return PlainImage(side, side, pixels), seed, draw(st.integers(0, side * side - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=paired_seed_cases())
+def test_paired_seed_changes_exactly_one_cell(random_key, case):
+    # lockstep draws pick the same entry for every cell, so only the bumped cell can change,
+    # and it does: its value and the bumped one both have positions, and no position is shared
+    image, seed, pixel = case
+    assert differential_paired_seed(image, random_key, seed, pixel) == 1

@@ -344,6 +344,11 @@ def test_usage_errors_exit_1(capsys):
      "argument --seed: seed must fit in 64 bits\n"),
     (["analyze", "--plain", "x", "--cipher", "y", "--trials", "x"],
      "argument --trials: not an integer: 'x'\n"),
+    # an empty file name would be Path("."), the current directory
+    (["keyinfo", "--key", ""], "argument --key: empty file name\n"),
+    (["encrypt", "--in", "x", "--key", "y", "--out", ""], "argument --out: empty file name\n"),
+    (["analyze", "--plain", "x", "--cipher", "y", "--csv", ""],
+     "argument --csv: empty file name\n"),
 ])
 def test_option_values_out_of_their_type_are_usage_errors(argv, message, capsys):
     assert run(argv) == 1

@@ -9,8 +9,8 @@ type and message: for square images of side 4 to 32, constant images and
 images holding pixel 255 (whose bump wraps to 0), 1 to 4 trials and any 64-bit
 seed, under the shared test key, a key with two positions per value and a key
 whose values share positions; and for images that are not square or whose side
-is not a multiple of 4, keys missing an image pixel's or only a bumped value's
-positions, and trials < 1.
+is not a multiple of 4, and trials < 1.  A key missing an image pixel's or only
+a bumped value's positions cannot be built.
 """
 
 import random
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from dnamagic.analysis import differential_sensitivity
 from dnamagic.cipher import encrypt
 from dnamagic.dna import BYTE_TO_QUAD
-from dnamagic.errors import DnamagicError
+from dnamagic.errors import DnamagicError, QuadCoverageError
 from dnamagic.imageio import PlainImage
 from dnamagic.reference import KmerIndex, NucleotideSequence, ReferenceKey
 from dnamagic.substitution import RandomStream
@@ -108,8 +108,8 @@ def test_change_rate_equals_frozen_oracle(random_key, key_name, image, trials, s
 
 @st.composite
 def error_cases(draw):
-    """Bad dimensions, trials < 1, or keys whose lists are empty for values the image holds
-    or for the values its pixels bump to."""
+    """Bad dimensions or trials < 1, with the lists of a key emptied for values the image
+    holds or for the values its pixels bump to."""
     if draw(st.booleans()):
         width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     else:
@@ -120,13 +120,18 @@ def error_cases(draw):
     pixels = bytes(draw(st.lists(values, min_size=width * height, max_size=width * height)))
     occurrences = [() if v in emptied else options for v, options in enumerate(TWO_POSITIONS)]
     trials = draw(st.integers(-2, 4))
-    return PlainImage(width, height, pixels), hand_built_key(occurrences), trials, draw(seeds)
+    return PlainImage(width, height, pixels), occurrences, trials, draw(seeds)
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=error_cases())
 def test_errors_equal_frozen_oracle(case):
-    same_outcome(*case)
+    image, occurrences, trials, seed = case
+    with pytest.raises(QuadCoverageError) as exc:
+        hand_built_key(occurrences)
+    assert exc.value.missing == [BYTE_TO_QUAD[v] for v, options in enumerate(occurrences)
+                                 if not options]
+    same_outcome(image, hand_built_key(TWO_POSITIONS), trials, seed)
 
 
 def test_errors_cover_each_case():
@@ -136,8 +141,8 @@ def test_errors_cover_each_case():
         "image must be square with side a positive multiple of 4, got 8x4")
     assert same_outcome(PlainImage(4, 4, bytes(16)), full, 0, 7) == (
         ValueError, "trials must be at least 1, got 0")
-    no_17 = hand_built_key(() if v == 17 else options for v, options in enumerate(TWO_POSITIONS))
-    missing = f"quad {BYTE_TO_QUAD[17]} has no occurrence in the key window"
-    assert same_outcome(PlainImage(4, 4, bytes([3] * 15 + [17])), no_17, 2, 7)[1] == missing
-    # every pixel is 16, so whichever is bumped becomes the missing 17
-    assert same_outcome(PlainImage(4, 4, bytes([16] * 16)), no_17, 2, 7)[1] == missing
+    # a key missing 17 cannot be built, so neither an image holding 17 nor one bumping into it
+    # meets it
+    with pytest.raises(QuadCoverageError) as exc:
+        hand_built_key(() if v == 17 else options for v, options in enumerate(TWO_POSITIONS))
+    assert exc.value.missing == [BYTE_TO_QUAD[17]]

@@ -24,7 +24,6 @@ from dnamagic.errors import (
     OrderTooLarge,
     PointerOutOfRange,
     QuadCoverageError,
-    QuadNotCovered,
     SequenceTooShort,
     TruncatedPayload,
     UnsupportedMaxval,
@@ -48,7 +47,6 @@ MESSAGES = [
     (NotDoublyEven, (6,), "order must be a multiple of 4 and at least 4, got 6"),
     (OrderTooLarge, (2048, 1024), "order 2048 exceeds the limit of 1024"),
     (LengthMismatch, (16, 15), "length mismatch: expected 16, got 15"),
-    (QuadNotCovered, ("AAAA",), "quad AAAA has no occurrence in the key window"),
     (PointerOutOfRange, (3, 70000), "pointer 70000 at cell 3 lies outside the key window"),
     (DimensionError, (5, 4), "image must be square with side a positive multiple of 4, got 5x4"),
     (WrongKey, (0x0123456789ABCDEF, 0xFEDCBA9876543210),
@@ -62,7 +60,7 @@ MESSAGES = [
 SAMPLES = {
     "reason": "bad dimensions 0x0", "maxval": 65535, "expected": 14, "actual": 4, "position": 7,
     "char": "N", "actual_length": 100, "required": 1027, "missing": NINE_QUADS, "order": 6,
-    "limit": 1024, "quad": "AAAA", "index": 3, "value": 70000, "width": 5, "height": 4,
+    "limit": 1024, "index": 3, "value": 70000, "width": 5, "height": 4,
     "embedded": 0x0123456789ABCDEF, "computed": 0xFEDCBA9876543210, "found": b"PNG\x89",
     "version": 2, "which": "x",
 }
@@ -99,8 +97,7 @@ def test_quad_coverage_error_keeps_its_own_list():
     assert exc.args == (list(missing),)
 
 
-@pytest.mark.parametrize("cls, args", [(TruncatedPayload, (14,)), (EmptySequence, (1,)),
-                                       (QuadNotCovered, ("AAAA", 2))])
+@pytest.mark.parametrize("cls, args", [(TruncatedPayload, (14,)), (EmptySequence, (1,))])
 def test_wrong_argument_count_is_a_type_error(cls, args):
     with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(cls.fields)} arguments"):
         cls(*args)

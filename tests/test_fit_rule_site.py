@@ -1,9 +1,12 @@
-"""`PointerGrid` alone decides which cells fit.
+"""`PointerGrid` alone decides which cells fit, and `ReferenceKey` alone which keys cover.
 
 The rule for a pointer cell, an int in 0..65535, is stated once: every
 `raise PointerOutOfRange` in the library sits in `PointerGrid.__post_init__`,
 and there is exactly one.  Any other stage that meets a cell that may not fit
 hands it to a `PointerGrid`, which names the first bad cell with its index.
+So is the rule for a key, a position for each of the 256 values: the one
+`raise QuadCoverageError` sits in `ReferenceKey.__post_init__`, so a key that
+misses a word cannot be built, and no stage that takes a key checks it again.
 """
 
 import ast
@@ -41,3 +44,7 @@ def raise_sites(name: str) -> list[tuple[str, str]]:
 
 def test_pointer_out_of_range_is_raised_only_where_a_grid_is_built():
     assert raise_sites("PointerOutOfRange") == [("substitution.py", "PointerGrid.__post_init__")]
+
+
+def test_quad_coverage_error_is_raised_only_where_a_key_is_built():
+    assert raise_sites("QuadCoverageError") == [("reference.py", "ReferenceKey.__post_init__")]

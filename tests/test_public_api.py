@@ -55,7 +55,7 @@ ERROR_ATTRIBUTES = {
     "LengthMismatch": ("expected", "actual"), "MalformedHeader": ("reason",),
     "NotDoublyEven": ("order",), "OrderTooLarge": ("order", "limit"),
     "PointerOutOfRange": ("index", "value"), "QuadCoverageError": ("missing",),
-    "QuadNotCovered": ("quad",), "SequenceTooShort": ("actual_length", "required"),
+    "SequenceTooShort": ("actual_length", "required"),
     "TruncatedPayload": ("expected", "actual"), "UnsupportedMaxval": ("maxval",),
     "UnsupportedVersion": ("version",), "WrongKey": ("embedded", "computed"),
     "ZeroVariance": ("which",),

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from conftest import random_bases
+from dnamagic.dna import BYTE_TO_QUAD
 from dnamagic.errors import (
     EmptySequence,
     InvalidSymbol,
@@ -15,7 +16,9 @@ from dnamagic.errors import (
 from dnamagic.reference import (
     MIN_KEY_LENGTH,
     WINDOW_STARTS,
+    KmerIndex,
     NucleotideSequence,
+    ReferenceKey,
     SingleOccurrenceWarning,
     build_key,
     fnv1a_64,
@@ -177,6 +180,12 @@ def test_cycling_sequence_fails_coverage():
     assert "AAAA" in exc.value.missing
     assert str(exc.value) == ("252 quads never occur in the key window: "
                               "CCCC, CCCT, CCCA, CCCG, CCTC, CCTT, CCTA, CCTG (+244 more)")
+
+
+def test_a_hand_built_index_of_fewer_than_256_lists_misses_the_values_past_it():
+    with pytest.raises(QuadCoverageError) as exc:
+        ReferenceKey(NucleotideSequence("A" * 8), KmerIndex(((1,),) * 10, 1), 0)
+    assert exc.value.missing == [BYTE_TO_QUAD[v] for v in range(10, 256)]
 
 
 def test_random_sequences_build_with_comfortable_multiplicity():

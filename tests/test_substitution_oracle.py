@@ -5,7 +5,8 @@ implementations, kept verbatim as the reference: they take and return
 `DnaImage` grids of four-base words.  The byte-level functions must draw the
 same pointers from the same stream, decode the same pixels, and fail with the
 same error type and attributes, for random images, seeds and keys whose
-occurrence lists include singletons and empty lists.  The block-drawn
+occurrence lists include singletons; a drawn key whose lists include an empty
+one cannot be built, and names exactly the emptied words.  The block-drawn
 `RandomStream.outputs` and `RandomStream.next64` share one mix; both must
 equal the frozen scalar generator `OracleStream`, across block boundaries and
 across the wrap of the state past 2**64.
@@ -26,10 +27,14 @@ from dnamagic.dna import (
     resynthesize,
     synthesize,
 )
-from dnamagic.errors import PointerOutOfRange, QuadNotCovered
+from dnamagic.errors import PointerOutOfRange, QuadCoverageError
 from dnamagic.imageio import PlainImage
 from dnamagic.reference import KmerIndex, NucleotideSequence, ReferenceKey, WINDOW_STARTS, scan_index
 from dnamagic.substitution import PointerGrid, RandomStream, reverse_substitute, substitute
+
+
+class QuadNotCovered(Exception):
+    """What the frozen oracle raises for a word without positions, which no ReferenceKey lacks."""
 
 
 def oracle_substitute(dna: DnaImage, key: ReferenceKey, rng: RandomStream) -> PointerGrid:
@@ -68,8 +73,6 @@ def stub_key(overrides: dict) -> ReferenceKey:
 def outcome(call):
     try:
         return call()
-    except QuadNotCovered as exc:
-        return ("QuadNotCovered", exc.quad)
     except PointerOutOfRange as exc:
         return ("PointerOutOfRange", exc.index, exc.value)
 
@@ -93,13 +96,20 @@ def cases(draw):
         values = st.sampled_from(sorted(overrides)) | values
     pixels = bytes(draw(st.lists(values, min_size=width * height, max_size=width * height)))
     seed = draw(st.integers(0, (1 << 64) - 1))
-    return PlainImage(width, height, pixels), stub_key(overrides), seed
+    return PlainImage(width, height, pixels), overrides, seed
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=cases())
 def test_substitute_matches_frozen_oracle(case):
-    image, key, seed = case
+    image, overrides, seed = case
+    emptied = sorted(value for value, positions in overrides.items() if not positions)
+    if emptied:
+        with pytest.raises(QuadCoverageError) as exc:
+            stub_key(overrides)
+        assert exc.value.missing == [BYTE_TO_QUAD[value] for value in emptied]
+        return
+    key = stub_key(overrides)
     new_rng, old_rng = RandomStream(seed), RandomStream(seed)
     new = outcome(lambda: substitute(image, key, new_rng))
     old = outcome(lambda: oracle_substitute(synthesize(image), key, old_rng))
@@ -183,28 +193,18 @@ def test_substitute_matches_frozen_oracle_past_one_block(width, height, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_uncovered_word_the_image_never_uses_is_no_error(seed):
-    image = random_image(random.Random(7), 91, 90)
-    image = PlainImage(91, 90, image.pixels.replace(b"\x07", b"\x08"))
-    key = stub_key({7: ()})
-    new_rng, old_rng = RandomStream(seed), RandomStream(seed)
-    assert substitute(image, key, new_rng) == oracle_substitute(synthesize(image), key, old_rng)
-    assert new_rng.next64() == old_rng.next64()
+    # the key is refused where it is built, whatever image it would meet
+    with pytest.raises(QuadCoverageError) as exc:
+        stub_key({7: ()})
+    assert exc.value.missing == [BYTE_TO_QUAD[7]]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_uncovered_word_in_the_third_block_fails_like_the_oracle(seed):
-    rng = random.Random(9000)
-    pixels = bytearray(rng.randrange(8, 256) for _ in range(120 * 100))
-    # 7 is the first uncovered cell; 0 comes later but first in set order
-    pixels[9000] = 7
-    pixels[11000] = 0
-    image = PlainImage(120, 100, bytes(pixels))
-    key = stub_key({0: (), 7: ()})
-    new_rng, old_rng = RandomStream(seed), RandomStream(seed)
-    new = outcome(lambda: substitute(image, key, new_rng))
-    old = outcome(lambda: oracle_substitute(synthesize(image), key, old_rng))
-    assert new == old == ("QuadNotCovered", BYTE_TO_QUAD[7])
-    assert new_rng.next64() == old_rng.next64()
+    # the key is refused where it is built, naming its missing words in value order
+    with pytest.raises(QuadCoverageError) as exc:
+        stub_key({0: (), 7: ()})
+    assert exc.value.missing == [BYTE_TO_QUAD[0], BYTE_TO_QUAD[7]]
 
 
 # a block holds 4096 draws; these end on an odd or even half and cross one,
