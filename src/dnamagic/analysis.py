@@ -7,7 +7,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import mod, ne
 
-from .cipher import _check_dimensions, encrypt
+from .cipher import _check_dimensions
+# unused here, but perfbench/tracing.py looks these names up on this module
+from .cipher import encrypt  # noqa: F401
 from .errors import LengthMismatch, ZeroVariance
 from .imageio import PlainImage
 from .reference import ReferenceKey
@@ -149,6 +151,12 @@ def evaluate_attack(candidate: Sequence[int], truth: Sequence[int]) -> AttackRep
     return AttackReport(bytes(candidate), fraction, "success" if fraction == 1.0 else "failure")
 
 
+def _bumped_cell_changes(occurrences, value: int, z1: int, z2: int) -> bool:
+    """Whether draws z1 for value and z2 for value + 1 (mod 256) pick different pointers."""
+    options, bumped = occurrences[value], occurrences[(value + 1) % 256]
+    return options[z1 % len(options)] != bumped[z2 % len(bumped)]
+
+
 def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
                              rng: RandomStream) -> float:
     """Mean fraction of cipher cells changed by bumping one random pixel by 1
@@ -165,8 +173,7 @@ def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    # the error encrypt would raise
-    _check_dimensions(image.width, image.height)
+    _check_dimensions(image.width, image.height)  # the error encrypt would raise
     occurrences = key.index.occurrences
     counts = [len(options) for options in occurrences]
     pixels = image.pixels
@@ -180,14 +187,10 @@ def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
         index = rng.randbelow(n)
         original = RandomStream(rng.next64()).outputs(n)
         bumped = RandomStream(rng.next64()).outputs(n)
-        value = pixels[index]
-        new_value = (value + 1) % 256
         changed = sum(map(ne, map(mod, original, moduli), map(mod, bumped, moduli)))
-        # the bumped cell draws from another value's positions: compare its real pointers
         z1, z2 = original[index], bumped[index]
-        changed -= z1 % counts[value] != z2 % counts[value]
-        changed += (occurrences[value][z1 % counts[value]]
-                    != occurrences[new_value][z2 % counts[new_value]])
+        changed -= z1 % moduli[index] != z2 % moduli[index]  # counted by its pointers
+        changed += _bumped_cell_changes(occurrences, pixels[index], z1, z2)
         total += changed / n
     return total / trials
 
@@ -196,13 +199,13 @@ def differential_paired_seed(image: PlainImage, key: ReferenceKey, seed: int,
                              pixel_index: int) -> int:
     """Cells changed by a one-pixel bump when both encryptions share a seed.
 
-    With lockstep draws only the bumped pixel's cell can change, which
-    exposes the scheme's true per-pixel diffusion.  pixel_index must lie in 0..n-1.
+    Only the bumped cell can change, as every other draws the same output for the same
+    word; output pixel_index of the stream decides it.  pixel_index must lie in 0..n-1.
     """
     if not 0 <= pixel_index < len(image.pixels):
         raise ValueError(f"pixel index {pixel_index} is outside 0..{len(image.pixels) - 1}")
-    bumped = bytearray(image.pixels)
-    bumped[pixel_index] = (bumped[pixel_index] + 1) % 256
-    c1 = encrypt(image, key, RandomStream(seed))
-    c2 = encrypt(PlainImage(image.width, image.height, bytes(bumped)), key, RandomStream(seed))
-    return sum(1 for a, b in zip(c1.pointers, c2.pointers) if a != b)
+    stream = RandomStream(seed)
+    _check_dimensions(image.width, image.height)  # the error encrypt would raise
+    stream._skip(pixel_index)
+    z = stream.next64()
+    return int(_bumped_cell_changes(key.index.occurrences, image.pixels[pixel_index], z, z))

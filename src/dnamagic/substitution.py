@@ -62,9 +62,8 @@ class RandomStream:
 
     Not a CSPRNG.  Each randbelow() consumes exactly one 64-bit output and
     reduces it modulo n; for the ranges used here (n <= 65536) the modulo
-    bias is below 2**-48.  The fixed one-output-per-draw rate keeps two
-    streams with equal seeds in lockstep even when asked for different
-    ranges, which the paired-seed differential harness relies on.
+    bias is below 2**-48.  Output k depends only on the seed and k, so the
+    paired-seed differential count reads the one output it needs by _skip.
     """
 
     def __init__(self, seed: int | None = None):

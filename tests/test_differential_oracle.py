@@ -1,8 +1,8 @@
-"""Differential test: the draw-counted change rate against the frozen encrypt-based one.
+"""Differential tests: the draw-counted change counts against the frozen encrypt-based ones.
 
-`oracle_cells_changed_by_bump` and `oracle_differential_sensitivity` are the
-implementation that encrypted the original and the bumped image every trial
-and compared the cipher cells, kept verbatim as the reference.
+`oracle_cells_changed_by_bump`, `oracle_differential_sensitivity` and
+`oracle_paired_seed` are the implementation that encrypted the original and
+the bumped image and compared the cipher cells, kept verbatim as the reference.
 `differential_sensitivity` counts the same cells from the two streams' draws.
 It must return the same float, compared with ==, or fail with the same error
 type and message: for square images of side 4 to 32, constant images and
@@ -11,6 +11,15 @@ seed, under the shared test key, a key with two positions per value and a key
 whose values share positions; and for images that are not square or whose side
 is not a multiple of 4, and trials < 1.  A key missing an image pixel's or only
 a bumped value's positions cannot be built.
+
+`differential_paired_seed` reads the one draw of the bumped cell.  It must
+return the same count, or fail with the same error type and message, as
+`oracle_paired_seed`: for the same images, keys and seeds and any pixel index
+(under the key whose values share positions both sides may read 0); and for
+images that are not square and indices outside 0..n-1, which are checked first.
+It differs in one case, pinned below: a hand-built key position past 65,535
+that the bumped cell does not draw is never read, where encrypting raises
+`PointerOutOfRange`.
 """
 
 import random
@@ -19,10 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnamagic.analysis import differential_sensitivity
+from dnamagic.analysis import differential_paired_seed, differential_sensitivity
 from dnamagic.cipher import encrypt
 from dnamagic.dna import BYTE_TO_QUAD
-from dnamagic.errors import DnamagicError, QuadCoverageError
+from dnamagic.errors import DimensionError, DnamagicError, PointerOutOfRange, QuadCoverageError
 from dnamagic.imageio import PlainImage
 from dnamagic.reference import KmerIndex, NucleotideSequence, ReferenceKey
 from dnamagic.substitution import RandomStream
@@ -54,6 +63,14 @@ def oracle_differential_sensitivity(image: PlainImage, key: ReferenceKey, trials
     return total / trials
 
 
+def oracle_paired_seed(image: PlainImage, key: ReferenceKey, seed: int, pixel_index: int) -> int:
+    """Cells changed by a one-pixel bump when both encryptions share a seed."""
+    if not 0 <= pixel_index < len(image.pixels):
+        raise ValueError(f"pixel index {pixel_index} is outside 0..{len(image.pixels) - 1}")
+    return oracle_cells_changed_by_bump(image, key, pixel_index,
+                                        RandomStream(seed), RandomStream(seed))
+
+
 # two key positions per value, so a cell keeps its pointer with odds 1/2
 TWO_POSITIONS = tuple((2 * v, 2 * v + 1) for v in range(256))
 # one to three positions per value, shared between values, so the bumped cell
@@ -63,6 +80,14 @@ OVERLAPPING = tuple(tuple(range(1 + v % 3)) for v in range(256))
 
 def hand_built_key(occurrences) -> ReferenceKey:
     return ReferenceKey(NucleotideSequence("A" * 8), KmerIndex(tuple(occurrences), 0), 0)
+
+
+KEYS = ["shared", "two_positions", "overlapping"]
+
+
+def key_named(random_key, key_name) -> ReferenceKey:
+    return {"shared": random_key, "two_positions": hand_built_key(TWO_POSITIONS),
+            "overlapping": hand_built_key(OVERLAPPING)}[key_name]
 
 
 def outcome(call):
@@ -97,12 +122,11 @@ def square_images(draw):
     return PlainImage(side, side, bytes(pixels))
 
 
-@pytest.mark.parametrize("key_name", ["shared", "two_positions", "overlapping"])
+@pytest.mark.parametrize("key_name", KEYS)
 @settings(max_examples=150, deadline=None)
 @given(image=square_images(), trials=st.integers(1, 4), seed=seeds)
 def test_change_rate_equals_frozen_oracle(random_key, key_name, image, trials, seed):
-    key = {"shared": random_key, "two_positions": hand_built_key(TWO_POSITIONS),
-           "overlapping": hand_built_key(OVERLAPPING)}[key_name]
+    key = key_named(random_key, key_name)
     assert isinstance(same_outcome(image, key, trials, seed), float)
 
 
@@ -146,3 +170,73 @@ def test_errors_cover_each_case():
     with pytest.raises(QuadCoverageError) as exc:
         hand_built_key(() if v == 17 else options for v, options in enumerate(TWO_POSITIONS))
     assert exc.value.missing == [BYTE_TO_QUAD[17]]
+
+
+def same_paired_seed_outcome(image: PlainImage, key: ReferenceKey, seed: int, index: int):
+    new = outcome(lambda: differential_paired_seed(image, key, seed, index))
+    assert new == outcome(lambda: oracle_paired_seed(image, key, seed, index))
+    return new
+
+
+@pytest.mark.parametrize("key_name", KEYS)
+@settings(max_examples=150, deadline=None)
+@given(image=square_images(), seed=seeds, data=st.data())
+def test_paired_seed_count_equals_frozen_oracle(random_key, key_name, image, seed, data):
+    wraps = [i for i, pixel in enumerate(image.pixels) if pixel == 255]  # bumped to 0
+    indices = st.integers(0, len(image.pixels) - 1)
+    index = data.draw(indices | st.sampled_from(wraps) if wraps else indices)
+    count = same_paired_seed_outcome(image, key_named(random_key, key_name), seed, index)
+    # only where values share positions can the bumped cell keep its pointer
+    assert count in ((0, 1) if key_name == "overlapping" else (1,))
+
+
+def test_paired_seed_reads_0_where_values_share_a_position():
+    # 0 has the one position 0, and 1 the positions 0 and 1: an even draw keeps pointer 0
+    key = hand_built_key(OVERLAPPING)
+    counts = [same_paired_seed_outcome(PlainImage(4, 4, bytes(16)), key, seed, 5)
+              for seed in range(16)]
+    assert set(counts) == {0, 1}
+
+
+@st.composite
+def paired_seed_error_cases(draw):
+    """Images that may not be square, each with an index that may lie outside 0..n-1."""
+    if draw(st.booleans()):
+        width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    else:
+        width = height = draw(st.sampled_from([4, 8]))
+    n = width * height
+    index = draw(st.integers(0, n - 1) | st.integers(-n - 4, -1) | st.integers(n, n + 4))
+    pixels = draw(st.binary(min_size=n, max_size=n))
+    return PlainImage(width, height, pixels), index, draw(seeds)
+
+
+@pytest.mark.parametrize("key_name", KEYS)
+@settings(max_examples=100, deadline=None)
+@given(case=paired_seed_error_cases())
+def test_paired_seed_errors_equal_frozen_oracle(random_key, key_name, case):
+    image, index, seed = case
+    same_paired_seed_outcome(image, key_named(random_key, key_name), seed, index)
+
+
+def test_paired_seed_errors_cover_each_case():
+    """One fixed instance per error path, the index checked before the dimensions."""
+    key = hand_built_key(TWO_POSITIONS)
+    assert same_paired_seed_outcome(PlainImage(8, 4, bytes(32)), key, 7, 3) == (
+        DimensionError, "image must be square with side a positive multiple of 4, got 8x4")
+    assert same_paired_seed_outcome(PlainImage(8, 4, bytes(32)), key, 7, 32) == (
+        ValueError, "pixel index 32 is outside 0..31")
+    assert same_paired_seed_outcome(PlainImage(4, 4, bytes(16)), key, 7, -1) == (
+        ValueError, "pixel index -1 is outside 0..15")
+
+
+def test_paired_seed_reads_only_the_bumped_cells_positions():
+    """A hand-built position past 65,535 that only other cells draw: encrypting raises
+    PointerOutOfRange for the first cell that draws it, the one-draw count never reads it."""
+    key = hand_built_key((70000,) if v == 200 else options
+                         for v, options in enumerate(TWO_POSITIONS))
+    image = PlainImage(4, 4, bytes([7]) + bytes([200]) * 15)
+    with pytest.raises(PointerOutOfRange) as exc:
+        oracle_paired_seed(image, key, 5, 0)
+    assert (exc.value.index, exc.value.value) == (1, 70000)
+    assert differential_paired_seed(image, key, 5, 0) == 1

@@ -33,7 +33,6 @@ def mutants(monkeypatch):
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "KNOWN_EQUIVALENTS",
                         {("src/fixture.py", "count_up", "return i"): "skipped for this test"})
-    monkeypatch.setattr(module, "TIMEOUT_S", 10)  # ends the endless-loop mutant sooner
     return module
 
 
@@ -45,7 +44,7 @@ def test_sampler_reports_each_outcome(tmp_path, mutants):
     (tree / "src" / "fixture.py").write_text(FIXTURE)
     (tree / "tests" / "test_fixture.py").write_text(FIXTURE_TEST)
     report = mutants.sample(tree, ["src/fixture.py"])
-    assert report["timeout_s"] == 10
+    assert report["timeout_s"] > 0  # three times the unmutated run, which took a moment
     assert report["modules"] == {"src/fixture.py": {
         "statements": 5, "killed": 2, "survived": 1, "timeouts": 1, "skipped": 1}}
     assert report["survivors"] == [{"file": "src/fixture.py", "line": 6, "statement": "unused = n"}]

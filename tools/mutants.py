@@ -6,17 +6,18 @@ statements such as docstrings, and `pass` itself, excepted) is replaced by
 there against that copy's `src` (TEST_COMMAND; this tool's own test is left
 out, as it would start the sampler again inside every mutant's run).  A mutant
 whose run fails is killed; one whose run passes survived, so no test notices
-that statement.  A run that outlasts TIMEOUT_S is stopped with its whole
-process group and reported as a timeout: deleting a step can keep a loop from
-ending.  Statements in KNOWN_EQUIVALENTS are skipped.
+that statement.  A run that outlasts TIMEOUT_FACTOR times the unmutated run,
+which is timed first, is stopped with its whole process group and reported as
+a timeout: deleting a step can keep a loop from ending.  Statements in
+KNOWN_EQUIVALENTS are skipped.
 
     python tools/mutants.py                         # every module of src/dnamagic
     python tools/mutants.py src/dnamagic/dna.py --report dna.json
 
-The JSON report (to --report, or stdout) has per-module counts and the file,
-line and statement of every survivor and timeout.  Exit status: 0 when no
-mutant survived, 1 when one did, 2 when the unmutated tree fails its tests.
-Standard library only.
+The JSON report (to --report, or stdout) has the timeout in seconds,
+per-module counts and the file, line and statement of every survivor and
+timeout.  Exit status: 0 when no mutant survived, 1 when one did, 2 when the
+unmutated tree fails its tests.  Standard library only.
 """
 
 import argparse
@@ -28,12 +29,13 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TEST_COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                 "--ignore=tests/test_mutants_tool.py", "tests"]
-TIMEOUT_S = 300  # seconds one test run may take
+TIMEOUT_FACTOR = 3  # a mutant's run may take this many times the unmutated run
 
 # (module, enclosing function, first line of the statement): reason it survives
 KNOWN_EQUIVALENTS = {
@@ -82,13 +84,13 @@ def delete(source: bytes, node: ast.stmt) -> bytes:
     return source[:start] + replacement + source[end:]
 
 
-def run_tests(tree: Path) -> str:
+def run_tests(tree: Path, timeout_s: float | None = None) -> str:
     """'passed', 'failed' or 'timeout' for the test suite of the copy at tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     with subprocess.Popen(TEST_COMMAND, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, start_new_session=True) as proc:
         try:
-            return "passed" if proc.wait(TIMEOUT_S) == 0 else "failed"
+            return "passed" if proc.wait(timeout_s) == 0 else "failed"
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)  # pytest's own children go too
             return "timeout"
@@ -96,14 +98,16 @@ def run_tests(tree: Path) -> str:
 
 def sample(root: Path, modules: list[str]) -> dict | None:
     """The report for modules (paths relative to root), or None when the unmutated tests fail."""
-    report = {"command": " ".join(["python", *TEST_COMMAND[1:]]), "timeout_s": TIMEOUT_S,
+    report = {"command": " ".join(["python", *TEST_COMMAND[1:]]), "timeout_s": None,
               "modules": {}, "survivors": [], "timeouts": []}
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch) / "tree"
         shutil.copytree(root, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"))
+        start = time.monotonic()
         if run_tests(tree) != "passed":
             return None
+        timeout_s = report["timeout_s"] = TIMEOUT_FACTOR * (time.monotonic() - start)
         for module in modules:
             path = tree / module
             source = path.read_bytes()
@@ -116,7 +120,7 @@ def sample(root: Path, modules: list[str]) -> dict | None:
                     counts["skipped"] += 1
                     continue
                 path.write_bytes(delete(source, node))
-                outcome = run_tests(tree)
+                outcome = run_tests(tree, timeout_s)
                 path.write_bytes(source)
                 print(f"{module}:{node.lineno}: {outcome}: {text}", file=sys.stderr, flush=True)
                 found = {"file": module, "line": node.lineno, "statement": text}
