@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from .imageio import PlainImage
 
 NUCLEOTIDES = "CTAG"  # indexed by 2-bit code
-CODE_OF = {base: code for code, base in enumerate(NUCLEOTIDES)}
 
 
 def encode_pixel(value: int) -> str:

@@ -136,22 +136,25 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
+def _window(bases: str) -> bytes:
+    """The first MIN_KEY_LENGTH bases as ASCII, the only ones a key is read from."""
+    if len(bases) < MIN_KEY_LENGTH:
+        raise SequenceTooShort(len(bases), MIN_KEY_LENGTH)
+    return bases[:MIN_KEY_LENGTH].encode("ascii")
+
+
 def key_fingerprint(seq: NucleotideSequence) -> int:
     """Checksum of the first MIN_KEY_LENGTH base symbols as ASCII bytes.
 
     Deterministic and independent of anything past position 65539; used only
     to detect a mismatched key at decrypt time, never as key material.
     """
-    if len(seq.bases) < MIN_KEY_LENGTH:
-        raise SequenceTooShort(len(seq.bases), MIN_KEY_LENGTH)
-    return fnv1a_64(seq.bases[:MIN_KEY_LENGTH].encode("ascii"))
+    return fnv1a_64(_window(seq.bases))
 
 
 def pixel_table(bases: str) -> bytes:
     """The pixel value whose word starts at each of the window's positions."""
-    if len(bases) < MIN_KEY_LENGTH:
-        raise SequenceTooShort(len(bases), MIN_KEY_LENGTH)
-    codes = bases[:WINDOW_STARTS + 3].encode("ascii").translate(_BASE_CODES)
+    codes = _window(bases).translate(_BASE_CODES)
     # one byte lane per position; the 2-bit codes of a word's four bases
     # land in disjoint bits of its lane, so the ORs never carry
     table = 0

@@ -306,6 +306,21 @@ def test_keyinfo_flags_incomplete_coverage(tmp_path, capsys):
     assert "missing quads: CCCC, CCCT, CCCA, CCCG, CCTC, CCTT, CCTA, CCTG (+244 more)\n" in out
 
 
+def test_a_key_one_base_short_of_the_window_exits_2(workdir, random_key, tmp_path, capsys):
+    short = tmp_path / "short.fasta"
+    short.write_text(">short\n" + random_key.sequence.bases[:MIN_KEY_LENGTH - 1] + "\n")
+    refusal = "SequenceTooShort: key sequence has 65539 bases, need at least 65540\n"
+    assert run(["keyinfo", "--key", str(short)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "source: short\nlength: 65539\n"
+    assert captured.err == refusal
+    out = tmp_path / "short.dmc"
+    assert run(["encrypt", "--in", str(workdir / "sample.pgm"), "--key", str(short),
+                "--out", str(out), "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", refusal)
+    assert not out.exists()
+
+
 def test_strict_mode_rejects_dirty_key(workdir, tmp_path, capsys):
     dirty = tmp_path / "dirty.fasta"
     dirty.write_text(">dirty\nACGTN" + "ACGT" * 16384 + "\n")

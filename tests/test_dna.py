@@ -6,7 +6,7 @@ import pytest
 
 from dnamagic.dna import (
     BYTE_TO_QUAD,
-    CODE_OF,
+    NUCLEOTIDES,
     DnaImage,
     decode_quad,
     encode_pixel,
@@ -24,8 +24,8 @@ def oracle_encode(value: int) -> str:
 
 
 def test_coding_table_covers_all_two_bit_codes():
-    assert sorted(CODE_OF.values()) == [0, 1, 2, 3]
-    assert set(CODE_OF) == set("ACGT")
+    # NUCLEOTIDES[code] is the base of each 2-bit code, one base each
+    assert sorted(NUCLEOTIDES) == sorted("ACGT")
 
 
 def test_encode_pixel_known_values():

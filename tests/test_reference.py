@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_bases
 from dnamagic.dna import BYTE_TO_QUAD
@@ -186,6 +188,19 @@ def test_a_hand_built_index_of_fewer_than_256_lists_misses_the_values_past_it():
     with pytest.raises(QuadCoverageError) as exc:
         ReferenceKey(NucleotideSequence("A" * 8), KmerIndex(((1,),) * 10, 1), 0)
     assert exc.value.missing == [BYTE_TO_QUAD[v] for v in range(10, 256)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(emptied=st.sets(st.integers(0, 255), min_size=1))
+@example(emptied={0})
+@example(emptied={7})
+@example(emptied={0, 7})
+def test_a_key_without_positions_for_some_values_names_them_in_value_order(emptied):
+    # the key is refused where it is built, so no image ever meets a value without positions
+    occurrences = tuple(() if v in emptied else (v,) for v in range(256))
+    with pytest.raises(QuadCoverageError) as exc:
+        ReferenceKey(NucleotideSequence("A" * 8), KmerIndex(occurrences, 0), 0)
+    assert exc.value.missing == [BYTE_TO_QUAD[v] for v in sorted(emptied)]
 
 
 def test_random_sequences_build_with_comfortable_multiplicity():

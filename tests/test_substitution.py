@@ -12,7 +12,7 @@ from conftest import random_image
 from dnamagic import reference
 from dnamagic.cipher import CipherImage, decrypt, encrypt
 from dnamagic.dna import BYTE_TO_QUAD
-from dnamagic.errors import PointerOutOfRange, QuadCoverageError, SequenceTooShort
+from dnamagic.errors import PointerOutOfRange, SequenceTooShort
 from dnamagic.imageio import PlainImage
 from dnamagic.reference import (
     MIN_KEY_LENGTH,
@@ -118,13 +118,6 @@ def test_singleton_occurrence_forces_the_pointer():
     img = PlainImage(1, 1, bytes([0]))
     for seed in range(30):
         assert substitute(img, key, RandomStream(seed)).pointers == (7,)
-
-
-def test_missing_quad_raises_defensively():
-    # a key whose index misses a word cannot be built, so no image reaches substitute with it
-    with pytest.raises(QuadCoverageError) as exc:
-        _stub_key({0: ()})
-    assert exc.value.missing == ["CCCC"]
 
 
 def test_identical_inputs_identical_grids(random_key):

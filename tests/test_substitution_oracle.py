@@ -5,8 +5,9 @@ implementations, kept verbatim as the reference: they take and return
 `DnaImage` grids of four-base words.  The byte-level functions must draw the
 same pointers from the same stream, decode the same pixels, and fail with the
 same error type and attributes, for random images, seeds and keys whose
-occurrence lists include singletons; a drawn key whose lists include an empty
-one cannot be built, and names exactly the emptied words.  The block-drawn
+occurrence lists include singletons.  A key that lists no position for some
+word cannot be built (see `tests/test_reference.py`), so every drawn key here
+covers all 256 words.  The block-drawn
 `RandomStream.outputs` and `RandomStream.next64` share one mix; both must
 equal the frozen scalar generator `OracleStream`, across block boundaries and
 across the wrap of the state past 2**64.
@@ -21,13 +22,12 @@ from hypothesis import strategies as st
 
 from conftest import random_bases, random_image
 from dnamagic.dna import (
-    BYTE_TO_QUAD,
     QUAD_TO_BYTE,
     DnaImage,
     resynthesize,
     synthesize,
 )
-from dnamagic.errors import PointerOutOfRange, QuadCoverageError
+from dnamagic.errors import PointerOutOfRange
 from dnamagic.imageio import PlainImage
 from dnamagic.reference import KmerIndex, NucleotideSequence, ReferenceKey, WINDOW_STARTS, scan_index
 from dnamagic.substitution import PointerGrid, RandomStream, reverse_substitute, substitute
@@ -79,7 +79,6 @@ def outcome(call):
 
 positions = st.integers(0, WINDOW_STARTS - 1)
 occurrence_lists = st.one_of(
-    st.just(()),
     st.tuples(positions),
     st.lists(positions, min_size=2, max_size=6, unique=True).map(lambda ps: tuple(sorted(ps))),
 )
@@ -92,7 +91,7 @@ def cases(draw):
     overrides = draw(st.dictionaries(st.integers(0, 255), occurrence_lists, max_size=4))
     values = st.integers(0, 255)
     if overrides:
-        # favour the overridden entries, so empty and singleton lists are hit
+        # favour the overridden entries, so singleton lists are hit
         values = st.sampled_from(sorted(overrides)) | values
     pixels = bytes(draw(st.lists(values, min_size=width * height, max_size=width * height)))
     seed = draw(st.integers(0, (1 << 64) - 1))
@@ -103,12 +102,6 @@ def cases(draw):
 @given(case=cases())
 def test_substitute_matches_frozen_oracle(case):
     image, overrides, seed = case
-    emptied = sorted(value for value, positions in overrides.items() if not positions)
-    if emptied:
-        with pytest.raises(QuadCoverageError) as exc:
-            stub_key(overrides)
-        assert exc.value.missing == [BYTE_TO_QUAD[value] for value in emptied]
-        return
     key = stub_key(overrides)
     new_rng, old_rng = RandomStream(seed), RandomStream(seed)
     new = outcome(lambda: substitute(image, key, new_rng))
@@ -189,22 +182,6 @@ def test_substitute_matches_frozen_oracle_past_one_block(width, height, seed):
     new_rng, old_rng = RandomStream(seed), RandomStream(seed)
     assert substitute(image, key, new_rng) == oracle_substitute(synthesize(image), key, old_rng)
     assert new_rng.next64() == old_rng.next64()
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_uncovered_word_the_image_never_uses_is_no_error(seed):
-    # the key is refused where it is built, whatever image it would meet
-    with pytest.raises(QuadCoverageError) as exc:
-        stub_key({7: ()})
-    assert exc.value.missing == [BYTE_TO_QUAD[7]]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_uncovered_word_in_the_third_block_fails_like_the_oracle(seed):
-    # the key is refused where it is built, naming its missing words in value order
-    with pytest.raises(QuadCoverageError) as exc:
-        stub_key({0: (), 7: ()})
-    assert exc.value.missing == [BYTE_TO_QUAD[0], BYTE_TO_QUAD[7]]
 
 
 # a block holds 4096 draws; these end on an odd or even half and cross one,
