@@ -13,7 +13,7 @@ from .cipher import encrypt  # noqa: F401
 from .errors import LengthMismatch, ZeroVariance
 from .imageio import PlainImage
 from .reference import ReferenceKey
-from .substitution import Cells, RandomStream
+from .substitution import RandomStream
 
 DIRECTIONS = ("horizontal", "vertical", "diagonal")
 DEFAULT_SAMPLE_PAIRS = 4096
@@ -53,8 +53,6 @@ def histogram(values: Sequence[int]) -> Histogram:
 
 def high_bytes(pointers: Sequence[int]) -> list[int]:
     """Binning rule for 16-bit cipher cells: each contributes its high byte."""
-    if isinstance(pointers, Cells):
-        return list(pointers.tobytes()[1::2])  # little-endian: the high byte is the second
     return [p >> 8 for p in pointers]
 
 
@@ -113,8 +111,6 @@ def adjacent_correlation(cells: Sequence[int], width: int, height: int, directio
         raise ValueError(f"no adjacent {direction} pair in a {width}x{height} grid")
     if rng is None:
         rng = RandomStream()
-    if isinstance(cells, Cells):
-        cells = cells.buffer  # indexed directly, without a Python-level __getitem__ per read
     xs = []
     ys = []
     for z in rng.outputs(sample_n):

@@ -13,7 +13,6 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import analysis, cipher, imageio, magic_square, reference
-from .dna import BYTE_TO_QUAD
 from .errors import DnamagicError, ZeroVariance, list_quads
 from .substitution import RandomStream
 
@@ -251,7 +250,7 @@ def _cmd_keyinfo(args) -> int:
     print(f"source: {seq.source_name or '(unnamed)'}")
     print(f"length: {len(seq.bases)}")
     index = reference.scan_index(seq)
-    missing = [BYTE_TO_QUAD[v] for v, lst in enumerate(index.occurrences) if not lst]
+    missing = reference._words_with(index, 0)  # the list ReferenceKey refuses a key for
     print(f"coverage: {256 - len(missing)}/256 quads")
     print(f"min multiplicity: {index.min_multiplicity}")
     print(f"fingerprint: 0x{reference.key_fingerprint(seq):016x}")

@@ -64,6 +64,14 @@ class KmerIndex:
     min_multiplicity: int
 
 
+def _words_with(index: KmerIndex, count: int) -> list[str]:
+    """The words, in value order, whose value has exactly count positions in index;
+    a value past the end of a short index has none."""
+    lists = index.occurrences
+    return [BYTE_TO_QUAD[v] for v in range(256)
+            if len(lists[v] if v < len(lists) else ()) == count]
+
+
 @dataclass(frozen=True)
 class ReferenceKey:
     sequence: NucleotideSequence
@@ -71,9 +79,7 @@ class ReferenceKey:
     fingerprint: int
 
     def __post_init__(self):
-        missing = [BYTE_TO_QUAD[v] for v in range(256)  # a short index misses the values past it
-                   if v >= len(self.index.occurrences) or not self.index.occurrences[v]]
-        if missing:
+        if missing := _words_with(self.index, 0):
             raise QuadCoverageError(missing)
 
     @cached_property
@@ -181,9 +187,10 @@ def build_key(seq: NucleotideSequence) -> ReferenceKey:
     never occurs in the window.  Warns (SingleOccurrenceWarning) when some
     quad occurs exactly once, since its substitution is then deterministic.
     """
-    key = ReferenceKey(seq, scan_index(seq), key_fingerprint(seq))
-    if key.index.min_multiplicity == 1:
-        lonely = [BYTE_TO_QUAD[v] for v, lst in enumerate(key.index.occurrences) if len(lst) == 1]
+    index = scan_index(seq)
+    # an index that misses a word is refused by ReferenceKey before the 0 is kept
+    key = ReferenceKey(seq, index, key_fingerprint(seq) if index.min_multiplicity else 0)
+    if lonely := _words_with(index, 1):
         warnings.warn(f"quads occurring only once in the key window: {', '.join(lonely)}; "
                       "their substitution is deterministic", SingleOccurrenceWarning, stacklevel=2)
     return key

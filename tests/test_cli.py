@@ -14,6 +14,7 @@ import pytest
 from conftest import random_bases, random_image
 from dnamagic.cipher import CipherImage, decrypt, deserialize, serialize
 from dnamagic.cli import run
+from dnamagic.errors import QuadCoverageError, list_quads
 from dnamagic.imageio import PlainImage, read_pgm, write_pgm
 from dnamagic.reference import (MIN_KEY_LENGTH, NucleotideSequence, SingleOccurrenceWarning,
                                 build_key, parse_fasta, scan_index)
@@ -304,6 +305,10 @@ def test_keyinfo_flags_incomplete_coverage(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "coverage: 4/256 quads" in out
     assert "missing quads: CCCC, CCCT, CCCA, CCCG, CCTC, CCTT, CCTA, CCTG (+244 more)\n" in out
+    # the report names the same words as the refusal of the same file
+    with pytest.raises(QuadCoverageError) as exc:
+        build_key(parse_fasta(bad_key.read_bytes()))
+    assert f"missing quads: {list_quads(exc.value.missing)}\n" in out
 
 
 def test_a_key_one_base_short_of_the_window_exits_2(workdir, random_key, tmp_path, capsys):

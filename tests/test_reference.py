@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bases
+from dnamagic import reference
 from dnamagic.dna import BYTE_TO_QUAD
 from dnamagic.errors import (
     EmptySequence,
@@ -182,6 +183,16 @@ def test_cycling_sequence_fails_coverage():
     assert "AAAA" in exc.value.missing
     assert str(exc.value) == ("252 quads never occur in the key window: "
                               "CCCC, CCCT, CCCA, CCCG, CCTC, CCTT, CCTA, CCTG (+244 more)")
+
+
+def test_build_key_refuses_a_key_that_misses_words_without_hashing_it(monkeypatch):
+    def unreachable(seq):
+        raise AssertionError("key_fingerprint called for a key that is refused")
+
+    monkeypatch.setattr(reference, "key_fingerprint", unreachable)
+    with pytest.raises(QuadCoverageError) as exc:
+        build_key(NucleotideSequence(("ACGT" * (MIN_KEY_LENGTH // 4 + 1))[:MIN_KEY_LENGTH]))
+    assert len(exc.value.missing) == 252
 
 
 def test_a_hand_built_index_of_fewer_than_256_lists_misses_the_values_past_it():

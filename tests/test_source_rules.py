@@ -24,6 +24,10 @@ Each rule in SITES is stated at one site, the (file, qualified scope) it names:
   stream draws are little-endian by definition; `_little` swaps a buffer on a
   big-endian host, so a test can drive every byte-order branch by simulating
   the other order.
+- A word is named from its value only by the `dna` layer, which defines the
+  words, and by the key's one word-list helper, `reference._words_with`: the
+  words a key misses, which `ReferenceKey` refuses and `keyinfo` reports,
+  and the words it holds once, which `build_key` warns of.
 """
 
 import ast
@@ -44,6 +48,8 @@ SITES = {
     ("raise", "SequenceTooShort"): [("reference.py", "_window")],
     ("raise", "DimensionError"): [("cipher.py", "_check_dimensions")],
     ("read", "byteorder"): [("substitution.py", "_little")],
+    ("read", "BYTE_TO_QUAD"): [("dna.py", ""), ("dna.py", ""), ("dna.py", "synthesize"),
+                               ("reference.py", ""), ("reference.py", "_words_with")],
 }
 
 

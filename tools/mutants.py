@@ -39,14 +39,6 @@ TIMEOUT_FACTOR = 3  # a mutant's run may take this many times the unmutated run
 
 # (module, enclosing function, first line of the statement): reason it survives
 KNOWN_EQUIVALENTS = {
-    ("src/dnamagic/analysis.py", "high_bytes", "if isinstance(pointers, Cells):"):
-        "speed-only fast path: the generic branch gives the same high bytes",
-    ("src/dnamagic/analysis.py", "high_bytes", "return list(pointers.tobytes()[1::2])"):
-        "speed-only fast path: the generic branch gives the same high bytes",
-    ("src/dnamagic/analysis.py", "adjacent_correlation", "if isinstance(cells, Cells):"):
-        "speed-only fast path: indexing the Cells reads the same values",
-    ("src/dnamagic/analysis.py", "adjacent_correlation", "cells = cells.buffer"):
-        "speed-only fast path: indexing the Cells reads the same values",
     ("src/dnamagic/substitution.py", "RandomStream.outputs",
      "even, odd, ones = even & even_low, odd & odd_low, ones & even_low"):
         "pre-mask of a partial block: the later masks give the same draws, it only keeps "
