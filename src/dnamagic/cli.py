@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or contract error, running out of
 memory, or a warning the interpreter turns into an error (printed to stderr as
-"ErrorName: detail").
+"ErrorName: detail").  A warning that does not stop the command is printed as
+"WarningName: detail" too.
 """
 
 import argparse
 import csv
 import math
 import sys
+import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -138,8 +140,14 @@ def _load_cipher(path: Path) -> cipher.CipherImage:
     return cipher.deserialize(path.read_bytes())
 
 
+def _read_key(path: Path, mode: str) -> reference.NucleotideSequence:
+    """parse_fasta of the file, read a chunk at a time so its bytes are never held whole."""
+    with path.open("rb") as file:
+        return reference._parse_chunks(iter(lambda: file.read(reference._CHUNK), b""), mode)
+
+
 def _load_key(path: Path, mode: str) -> reference.ReferenceKey:
-    return reference.build_key(reference.parse_fasta(path.read_bytes(), mode=mode))
+    return reference.build_key(_read_key(path, mode))
 
 
 def _file_name(kind: type):
@@ -246,7 +254,7 @@ def _cmd_magic(args) -> int:
 
 
 def _cmd_keyinfo(args) -> int:
-    seq = reference.parse_fasta(args.key.read_bytes(), mode=args.mode)
+    seq = _read_key(args.key, args.mode)
     print(f"source: {seq.source_name or '(unnamed)'}")
     print(f"length: {len(seq.bases)}")
     index = reference.scan_index(seq)
@@ -279,6 +287,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # a warning that does not stop the command prints as one line, like an error
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     sys.exit(run(sys.argv[1:]))
 
 

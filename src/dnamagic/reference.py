@@ -10,8 +10,10 @@ fingerprint.
 
 import re
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, pairwise
 
 from .dna import BYTE_TO_QUAD, NUCLEOTIDES
 from .errors import EmptySequence, InvalidSymbol, QuadCoverageError, SequenceTooShort
@@ -26,12 +28,17 @@ _MASK64 = (1 << 64) - 1
 
 # re's \s is exactly str.isspace, and only ACGTacgt upper-case into ACGT
 _INVALID_SYMBOL = re.compile(r"[^\sACGTacgt]")
-# byte-level forms of the same rules, for one translate pass per record body
+_RECORD_SPLIT = re.compile(rb"\n>")  # a header line starts at the '>'
+# byte-level forms of the same rules, for one translate pass per piece of a chunk
 _UPPER = bytes.maketrans(b"acgt", b"ACGT")
 _NON_BASES = bytes(b for b in range(256) if b not in b"ACGTacgt")
 _ALLOWED = b"ACGTacgt" + bytes(b for b in range(256) if chr(b).isspace())
 
 _BASE_CODES = bytes.maketrans(NUCLEOTIDES.encode("ascii"), bytes(range(4)))  # 2-bit codes
+
+# bytes, or characters of a str, that ingestion reads and checks at a time, so
+# that beside the bases it holds no more than a few chunks
+_CHUNK = 1 << 20
 
 
 class SingleOccurrenceWarning(UserWarning):
@@ -47,8 +54,10 @@ class NucleotideSequence:
     source_name: str = ""
 
     def __post_init__(self):
-        if not self.bases.isascii() or self.bases.encode("ascii").translate(None, b"ACGT"):
-            bad = sorted(set(self.bases) - set("ACGT"))
+        bases = self.bases
+        if not bases.isascii() or any(bases[i:i + _CHUNK].encode("ascii").translate(None, b"ACGT")
+                                      for i in range(0, len(bases), _CHUNK)):
+            bad = sorted(set(bases) - set("ACGT"))
             raise ValueError(f"sequence contains symbols outside ACGT: {bad}")
 
     def __len__(self) -> int:
@@ -97,40 +106,64 @@ def parse_fasta(data: bytes | str, mode: str = "strict") -> NucleotideSequence:
     raises InvalidSymbol carrying its offset in the input (in characters for
     str); "sanitize" mode drops such symbols silently.
     """
+    return _parse_chunks((data[i:i + _CHUNK] for i in range(0, len(data), _CHUNK)), mode)
+
+
+def _parse_chunks(chunks: Iterable[bytes | bytearray | str], mode: str) -> NucleotideSequence:
+    """parse_fasta of the chunks' concatenation; lines, headers and records may
+    span chunk edges."""
+    buffer, name = _buffer_bases(chunks, mode)
+    bases = buffer.decode("ascii")
+    del buffer  # before the check, so the bases are held only once from here on
+    return NucleotideSequence(bases, source_name=name)
+
+
+def _buffer_bases(chunks: Iterable[bytes | bytearray | str], mode: str) -> tuple[bytearray, str]:
+    """The bases of the chunks, one byte each, and the name; no chunk is kept
+    once its bases are buffered, and the last goes when this returns."""
     if mode not in ("strict", "sanitize"):
         raise ValueError(f"unknown mode {mode!r}")
-    # one byte per character keeps offsets; symbols past U+00FF become "?",
-    # which is not a base, and their original text is read back from data
-    raw = data.encode("latin-1", "replace") if isinstance(data, str) else data
-
-    def text(start: int, stop: int) -> str:
-        return data[start:stop] if isinstance(data, str) else raw[start:stop].decode("latin-1")
-
+    buffer = bytearray()  # every base so far, upper-cased, one byte each
     name = ""
-    chunks: list[str] = []  # decoded per record, so no whole-key bytes copy is made
-    start = 0
-    while start < len(raw):
-        if raw.startswith(b">", start):
-            stop = raw.find(b"\n", start)
-            stop = len(raw) if stop < 0 else stop
-            name = name or text(start + 1, stop).strip()
-        else:
-            # a record body runs up to the next line that starts with '>'
-            stop = raw.find(b"\n>", start)
-            stop = len(raw) if stop < 0 else stop
+    header: list[str] | None = None  # the text so far of an unfinished header line
+    line_start = True  # the next chunk begins a line
+    offset = 0  # of the chunk in the input
+    for chunk in chunks:
+        # one byte per character keeps offsets; symbols past U+00FF become "?",
+        # which is not a base, and their original text is read back from chunk
+        raw = chunk.encode("latin-1", "replace") if isinstance(chunk, str) else chunk
+
+        def text(start: int, stop: int) -> str:
+            return chunk[start:stop] if isinstance(chunk, str) else raw[start:stop].decode("latin-1")
+
+        # pieces of the chunk that each end before the next line that starts with '>'
+        edges = chain((0,), (m.end() - 1 for m in _RECORD_SPLIT.finditer(raw)), (len(raw),))
+        for start, stop in pairwise(edges):
+            if header is None and (start or line_start) and raw.startswith(b">", start):
+                header, start = [], start + 1
+            if header is not None:
+                end = raw.find(b"\n", start, stop)
+                if not name:
+                    header.append(text(start, stop if end < 0 else end))
+                if end < 0:  # the header line goes on in the next chunk
+                    continue
+                name = name or "".join(header).strip()
+                header, start = None, end + 1
             body = raw[start:stop]
             if mode == "strict" and body.translate(None, _ALLOWED):
                 # some byte is neither a base nor latin-1 whitespace; search
                 # the original text, where wide whitespace is still allowed
                 if bad := _INVALID_SYMBOL.search(text(start, stop)):
-                    raise InvalidSymbol(start + bad.start(), bad.group())
-            chunks.append(body.translate(_UPPER, _NON_BASES).decode("ascii"))
-        start = stop + 1
+                    raise InvalidSymbol(offset + start + bad.start(), bad.group())
+            buffer += body.translate(_UPPER, _NON_BASES)
+        line_start = raw.endswith(b"\n")
+        offset += len(raw)
 
-    bases = "".join(chunks)
-    if not bases:
+    if header:  # the last line is a header without its LF
+        name = name or "".join(header).strip()
+    if not buffer:
         raise EmptySequence()
-    return NucleotideSequence(bases, source_name=name)
+    return buffer, name
 
 
 def fnv1a_64(data: bytes) -> int:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_bases, random_image
+from dnamagic import reference
 from dnamagic.cipher import CipherImage, decrypt, deserialize, serialize
 from dnamagic.cli import run
 from dnamagic.errors import QuadCoverageError, list_quads
@@ -443,7 +444,8 @@ def test_key_warning_is_printed_and_encrypt_succeeds(workdir, lonely_key, tmp_pa
     out = tmp_path / "o.dmc"
     result = _encrypt_in_subprocess(workdir, lonely_key, out)
     assert result.returncode == 0, result.stderr
-    assert "SingleOccurrenceWarning" in result.stderr
+    assert result.stderr == ("SingleOccurrenceWarning: quads occurring only once in the key "
+                             "window: GGGG; their substitution is deterministic\n")
     with pytest.warns(SingleOccurrenceWarning):
         key = build_key(parse_fasta(lonely_key.read_bytes()))
     image = read_pgm((workdir / "sample.pgm").read_bytes())
@@ -455,6 +457,62 @@ def test_key_warning_under_w_error_exits_2_without_a_traceback(workdir, lonely_k
     assert result.returncode == 2
     assert result.stderr.startswith("SingleOccurrenceWarning: ")
     assert "Traceback" not in result.stderr
+
+
+def _at_chunk_edge(text: bytearray, piece: bytes, k: int, rng: random.Random) -> int:
+    """Pad text with bases so that piece[k] starts a 7-byte chunk, append piece,
+    and return the offset of piece[k]."""
+    text += random_bases(rng, -(len(text) + k) % 7).encode()
+    text += piece
+    return len(text) - len(piece) + k
+
+
+@pytest.fixture(scope="module")
+def edge_key(tmp_path_factory):
+    """A covering key whose header, CRLF line end, record split and invalid
+    symbol each straddle or start a 7-byte chunk."""
+    rng = random.Random(7)
+    text = bytearray(b">edge key\r\n")  # the header straddles offset 7
+    for _ in range(600):
+        text += random_bases(rng, 60).encode() + b"\r\n"
+    edges = [_at_chunk_edge(text, b"AC\r\nGT", 3, rng),  # LF starts a chunk, CR ends one
+             _at_chunk_edge(text, b"\n>second record\r\n", 1, rng),  # '>' starts a chunk
+             _at_chunk_edge(text, b"N", 0, rng)]  # strict names its offset, sanitize drops it
+    for _ in range(600):
+        text += random_bases(rng, 60).encode() + b"\r\n"
+    assert [text[e:e + 1] for e in edges] == [b"\n", b">", b"N"]
+    assert all(e % 7 == 0 for e in edges) and text.count(b"N") == 1
+    path = tmp_path_factory.mktemp("edge") / "key.fasta"
+    path.write_bytes(text)
+    return path
+
+
+@pytest.mark.parametrize("mode", ["strict", "sanitize"])
+@pytest.mark.parametrize("command", ["keyinfo", "encrypt"])
+def test_key_chunk_size_changes_no_output(workdir, edge_key, tmp_path, monkeypatch, capsys,
+                                          mode, command):
+    out = tmp_path / "o.dmc"
+    argv = [command, "--key", str(edge_key), "--mode", mode]
+    if command == "encrypt":
+        argv += ["--in", str(workdir / "sample.pgm"), "--out", str(out), "--seed", "3"]
+    runs = []
+    for chunk in (1 << 20, 7):
+        monkeypatch.setattr(reference, "_CHUNK", chunk)
+        code = run(argv)
+        runs.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    code, captured, written = runs[0]
+    if mode == "strict":
+        offset = edge_key.read_bytes().index(b"N")
+        assert (code, captured.err) == (
+            2, f"InvalidSymbol: invalid symbol 'N' at input offset {offset}\n")
+    elif command == "keyinfo":
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith("source: edge key\nlength: 72017\n")
+    else:
+        assert (code, captured.err, captured.out) == (0, "", "")
+        assert written is not None
 
 
 # ---- running out of memory ----
@@ -515,7 +573,7 @@ OUT_OF_MEMORY_CASES = {
     "attack": ("imageio.read_pgm", ["--known-plain", 128, "--known-cipher", 256,
                                     "--target", 512, "--truth", 1024]),
     "magic": ("magic_square.generate_doubly_even", ["--order", "8"]),
-    "keyinfo": ("reference.parse_fasta", ["--key", 2048]),
+    "keyinfo": ("cli._read_key", ["--key", 2048]),
 }
 
 

@@ -8,10 +8,13 @@ symbols up to multi-record files whose bodies span thousands of symbols.
 """
 
 import random
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnamagic import reference
 from dnamagic.errors import EmptySequence, InvalidSymbol
 from dnamagic.reference import NucleotideSequence, parse_fasta
 
@@ -131,6 +134,16 @@ def fasta_files(draw):
 @given(data=fasta_files(), mode=st.sampled_from(["strict", "sanitize"]))
 def test_parse_fasta_matches_frozen_oracle_at_record_scale(data, mode):
     assert outcome(parse_fasta, data, mode) == outcome(oracle_parse_fasta, data, mode)
+
+
+# parse_fasta reads its input a chunk at a time; chunks this small put every
+# header, record split, CRLF, wide whitespace and invalid symbol on some edge
+@pytest.mark.parametrize("chunk", [1, 2, 3, 61])
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(inputs, fasta_files()), mode=st.sampled_from(["strict", "sanitize"]))
+def test_parse_fasta_matches_frozen_oracle_across_chunk_edges(chunk, data, mode):
+    with mock.patch.object(reference, "_CHUNK", chunk):
+        assert outcome(parse_fasta, data, mode) == outcome(oracle_parse_fasta, data, mode)
 
 
 def test_invalid_symbol_in_last_of_four_large_records():

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -109,6 +110,29 @@ def test_parse_is_idempotent_on_clean_sequences():
     once = parse_fasta((">r\n" + bases).encode())
     twice = parse_fasta(once.bases)
     assert twice.bases == once.bases == bases
+
+
+def test_key_ingestion_holds_about_two_bytes_per_base():
+    # the bases as one byte buffer and then as the str it decodes to, plus a chunk
+    # or two; copying the input, a record or the decoded bases peaks above 4 per base
+    rng = random.Random(29)
+    records = []
+    for r in range(4):
+        bases = rng.randbytes(640_000).translate(bytes(b"ACGT"[b % 4] for b in range(256)))
+        for start in range(rng.randrange(5000), len(bases), 9000):  # soft-masked runs
+            stop = start + rng.randrange(100, 3100)
+            bases = bases[:start] + bases[start:stop].lower() + bases[stop:]
+        lines = b"\n".join(bases[i:i + 60] for i in range(0, len(bases), 60))
+        records.append(b">chr%d\n%s\n" % (r + 1, lines))
+    data = b"".join(records)
+    tracemalloc.start()
+    try:
+        key = build_key(parse_fasta(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(key.sequence) == 2_560_000
+    assert peak <= 2.5 * len(key.sequence)
 
 
 def test_sequence_length_is_its_base_count():
