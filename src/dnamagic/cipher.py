@@ -27,7 +27,7 @@ from .magic_square import scramble_square
 from .dna import resynthesize, synthesize  # noqa: F401
 from .magic_square import generate_doubly_even, scramble, to_permutation, unscramble  # noqa: F401
 from .reference import ReferenceKey
-from .substitution import Cells, PointerGrid, RandomStream, reverse_substitute, substitute
+from .substitution import Cells, PointerGrid, RandomStream, _little, reverse_substitute, substitute
 
 CONTAINER_MAGIC = b"DMC1"
 CONTAINER_VERSION = 1
@@ -54,7 +54,7 @@ def encrypt(image: PlainImage, key: ReferenceKey, rng: RandomStream,
     _check_dimensions(image.width, image.height)
     # the square is public structure derived from the side length, never
     # stored in the container and never key material
-    scrambled = scramble_square(substitute(image, key, rng).pointers.buffer, image.width)
+    scrambled = Cells(scramble_square(substitute(image, key, rng).pointers.buffer, image.width))
     if include_fingerprint:
         return CipherImage(image.width, image.height, scrambled, FLAG_FINGERPRINT, key.fingerprint)
     return CipherImage(image.width, image.height, scrambled)
@@ -68,9 +68,8 @@ def decrypt(cipher: CipherImage, key: ReferenceKey) -> PlainImage:
     if cipher.flags & FLAG_FINGERPRINT and cipher.fingerprint != key.fingerprint:
         raise WrongKey(cipher.fingerprint or 0, key.fingerprint)
     # reading a cell back commutes with the scramble, its own inverse: unscramble the pixels
-    plain = reverse_substitute(cipher, key)
-    pixels = scramble_square(array("B", plain.pixels), cipher.width).tobytes()
-    return PlainImage(cipher.width, cipher.height, pixels)
+    pixels = scramble_square(array("B", reverse_substitute(cipher, key).pixels), cipher.width)
+    return PlainImage(cipher.width, cipher.height, pixels.tobytes())
 
 
 def _pack(fmt: str, field: str, values: tuple[int, ...]) -> bytes:
@@ -95,7 +94,7 @@ def serialize(cipher: CipherImage) -> bytes:
              _pack("<I", "height", (cipher.height,))]
     if cipher.fingerprint is not None:
         parts.append(_pack("<Q", "fingerprint", (cipher.fingerprint,)))
-    parts.append(cipher.pointers.tobytes())
+    parts.append(_little(cipher.pointers.buffer))  # joined as it stands on a little-endian host
     return b"".join(parts)
 
 

@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 usage error, 2 data or contract error, running out of
 memory, or a warning the interpreter turns into an error (printed to stderr as
 "ErrorName: detail").  A warning that does not stop the command is printed as
-"WarningName: detail" too.
+"WarningName: detail" too.  A command whose stdout is closed early, as by
+`| head -1`, stops quietly with 0.
 """
 
 import argparse
 import csv
 import math
+import os
 import sys
 import warnings
 from contextlib import nullcontext
@@ -169,6 +171,28 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout stopped early, as `dnamagic magic --order 1024 | head -1` does."""
+
+
+def _say(line: str) -> None:
+    """Print one line of a report; the commands write stdout only through here."""
+    try:
+        print(line)
+    except BrokenPipeError:  # stdout's, so not a failed write to an --out or --csv file
+        raise _StdoutClosed from None
+
+
+def _stdout_closed() -> int:
+    """End quietly: a closed stdout is not a fault of the input, and shells expect
+    `... | head -1` to stop without a message.  stdout then points at os.devnull,
+    so what is still buffered for it goes nowhere at exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return EXIT_OK
+
+
 def _cmd_encrypt(args) -> int:
     image = _load_pgm(args.input)
     key = _load_key(args.key, args.mode)
@@ -223,7 +247,7 @@ def _cmd_analyze(args) -> int:
 
         for metric, direction, value in rows:
             label = f"{metric}[{direction}]" if direction else metric
-            print(f"{label}: {value:.6f}")
+            _say(f"{label}: {value:.6f}")
         if report is not None:
             writer = csv.writer(report)
             writer.writerow(["metric", "direction", "value"])
@@ -239,8 +263,8 @@ def _cmd_attack(args) -> int:
     candidate = analysis.chosen_plaintext_attack(known_plain.pixels, known_cipher.pointers,
                                                  target.pointers)
     report = analysis.evaluate_attack(candidate, truth.pixels)
-    print(f"match fraction: {report.match_fraction:.4f}")
-    print(f"verdict: {report.verdict}")
+    _say(f"match fraction: {report.match_fraction:.4f}")
+    _say(f"verdict: {report.verdict}")
     return EXIT_OK
 
 
@@ -248,22 +272,22 @@ def _cmd_magic(args) -> int:
     square = magic_square.generate_doubly_even(args.order)
     width = len(str(args.order * args.order))
     for row in square.cells:
-        print(" ".join(f"{v:>{width}}" for v in row))
-    print(f"magic constant: {magic_square.magic_constant(args.order)}")
+        _say(" ".join(f"{v:>{width}}" for v in row))
+    _say(f"magic constant: {magic_square.magic_constant(args.order)}")
     return EXIT_OK
 
 
 def _cmd_keyinfo(args) -> int:
     seq = _read_key(args.key, args.mode)
-    print(f"source: {seq.source_name or '(unnamed)'}")
-    print(f"length: {len(seq.bases)}")
+    _say(f"source: {seq.source_name or '(unnamed)'}")
+    _say(f"length: {len(seq.bases)}")
     index = reference.scan_index(seq)
     missing = reference._words_with(index, 0)  # the list ReferenceKey refuses a key for
-    print(f"coverage: {256 - len(missing)}/256 quads")
-    print(f"min multiplicity: {index.min_multiplicity}")
-    print(f"fingerprint: 0x{reference.key_fingerprint(seq):016x}")
+    _say(f"coverage: {256 - len(missing)}/256 quads")
+    _say(f"min multiplicity: {index.min_multiplicity}")
+    _say(f"fingerprint: 0x{reference.key_fingerprint(seq):016x}")
     if missing:
-        print(f"missing quads: {list_quads(missing)}")
+        _say(f"missing quads: {list_quads(missing)}")
         return EXIT_DATA
     return EXIT_OK
 
@@ -276,6 +300,8 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
+    except _StdoutClosed:
+        return _stdout_closed()
     # a Warning arrives here only when the interpreter turns it into an error
     except (DnamagicError, ValueError, OSError, Warning) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -289,7 +315,12 @@ def run(argv: list[str] | None = None) -> int:
 def main() -> None:
     # a warning that does not stop the command prints as one line, like an error
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()  # a closed stdout fails here rather than at interpreter shutdown
+    except BrokenPipeError:
+        code = _stdout_closed()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -168,10 +168,15 @@ def _buffer_bases(chunks: Iterable[bytes | bytearray | str], mode: str) -> tuple
 
 def fnv1a_64(data: bytes) -> int:
     """FNV-1a 64-bit checksum (non-cryptographic)."""
-    h = FNV_OFFSET_BASIS
-    for byte in data:
-        h ^= byte
-        h = (h * FNV_PRIME) & _MASK64
+    # masked once per four bytes, which is exact: XOR with a byte touches only
+    # the low 8 bits, and a product's low 64 bits depend only on its factors'
+    h, prime = FNV_OFFSET_BASIS, FNV_PRIME
+    split = len(data) - len(data) % 4
+    quads = iter(data[:split])
+    for a, b, c, d in zip(quads, quads, quads, quads):
+        h = (((((h ^ a) * prime ^ b) * prime ^ c) * prime ^ d) * prime) & _MASK64
+    for byte in data[split:]:
+        h = ((h ^ byte) * prime) & _MASK64
     return h
 
 

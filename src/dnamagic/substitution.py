@@ -51,8 +51,9 @@ def _mix(z: int, low: int) -> int:
 
 
 def _little(buffer: array) -> array:
-    """buffer with its items in little-endian order, byteswapped in place on a big-endian host."""
+    """buffer's items in little-endian order: itself, or a byteswapped copy on a big-endian host."""
     if sys.byteorder == "big":
+        buffer = buffer[:]
         buffer.byteswap()
     return buffer
 
@@ -135,7 +136,7 @@ class Cells(Sequence):
 
     def tobytes(self) -> bytes:
         """The cells as little-endian 16-bit bytes."""
-        return _little(self.buffer[:]).tobytes()
+        return _little(self.buffer).tobytes()
 
     def __len__(self) -> int:
         return len(self.buffer)
@@ -200,22 +201,31 @@ def substitute(image: PlainImage, key: ReferenceKey, rng: RandomStream) -> Point
     Consumes exactly one draw per cell, in row-major order, so identical
     (image, key, seed) triples produce identical grids.  Draw z picks
     options[z % len(options)], which is what rng.randbelow(len(options)) gives.
+    The cells are drawn and narrowed one stream block at a time, so no
+    n-item list or draw array is held.
     """
     occurrences = key.index.occurrences
     pixels = image.pixels
+    n = len(pixels)
     counts = [len(options) for options in occurrences]  # a ReferenceKey covers every value
-    cells = [occurrences[value][z % counts[value]]
-             for value, z in zip(pixels, rng.outputs(len(pixels)))]
-    try:  # struct packs faster than array("H") converts; per block, so no n-item tuple
-        cells = Cells.frombytes(b"".join(
-            struct.pack(f"<{len(part)}H", *part)
-            for part in (cells[i:i + _BLOCK] for i in range(0, len(cells), _BLOCK))))
-    except struct.error:
-        pass  # PointerGrid names the key position that is not a cell
-    return PointerGrid(image.width, image.height, cells)
+    buffer = array("H", [0]) * n  # one allocation, filled in place
+    for start in range(0, n, _BLOCK):
+        part = pixels[start:start + _BLOCK]
+        cells = [occurrences[value][z % counts[value]]
+                 for value, z in zip(part, rng.outputs(len(part)))]
+        try:  # struct packs faster than array("H") converts
+            struct.pack_into(f"<{len(cells)}H", buffer, 2 * start, *cells)
+        except struct.error:  # PointerGrid names the key position that is not a cell
+            rest = n - start - len(cells)
+            rng._skip(rest)  # the stream ends past all n draws, as when every cell fits
+            return PointerGrid(image.width, image.height, [*buffer[:start], *cells, *bytes(rest)])
+    return PointerGrid(image.width, image.height, Cells(_little(buffer)))
 
 
 def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:
     """Read back the pixel whose word each pointer names; inverts substitute for any randomness."""
     table = key.decode_table
-    return PlainImage(grid.width, grid.height, bytes([table[p] for p in grid.pointers]))
+    cells = grid.pointers.buffer
+    pixels = b"".join(bytes([table[p] for p in cells[start:start + _BLOCK]])
+                      for start in range(0, len(cells), _BLOCK))
+    return PlainImage(grid.width, grid.height, pixels)

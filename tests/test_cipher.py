@@ -81,7 +81,10 @@ def test_decrypt_validates_dimensions(random_key):
 
 
 def test_decrypt_holds_a_few_bytes_per_cell(random_key):
-    # a gather that boxes every cell into a tuple of ints peaks near 50 bytes per cell
+    # the cells (2 bytes each), the pixels gathered and joined a block at a
+    # time (2), and the 65,536-byte decode table, built on first use (1 at
+    # 256x256), peak at 6.3 bytes per cell; an n-item list in the gather
+    # would add 8 more
     img = random_image(random.Random(16), 256)
     blob = serialize(encrypt(img, random_key, RandomStream(16)))
     tracemalloc.start()
@@ -91,11 +94,14 @@ def test_decrypt_holds_a_few_bytes_per_cell(random_key):
     finally:
         tracemalloc.stop()
     assert plain == img
-    assert peak <= 13 * 256 * 256
+    assert peak <= 7 * 256 * 256
 
 
 def test_encrypt_holds_a_few_bytes_per_cell(random_key):
-    # the draws and the list of cells held at once come to about 17 bytes per cell
+    # the cells and their scrambled copy, then the scrambled cells and the
+    # container (2 + 2 bytes per cell), plus one 4,096-cell block's draws and
+    # list, peak at 5.3 bytes per cell; an n-item list of cells or an n-draw
+    # array would add 8 more each
     img = random_image(random.Random(16), 256)
     tracemalloc.start()
     try:
@@ -104,7 +110,7 @@ def test_encrypt_holds_a_few_bytes_per_cell(random_key):
     finally:
         tracemalloc.stop()
     assert decrypt(deserialize(blob), random_key) == img
-    assert peak <= 18 * 256 * 256
+    assert peak <= 6 * 256 * 256
 
 
 def test_wrong_key_garbles_without_fingerprint(random_key):

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import random
+import select
 import subprocess
 import sys
 from array import array
@@ -459,6 +460,53 @@ def test_key_warning_under_w_error_exits_2_without_a_traceback(workdir, lonely_k
     assert "Traceback" not in result.stderr
 
 
+def _run_into_a_closed_pipe(argv, *python_flags) -> subprocess.CompletedProcess:
+    """A CLI child whose stdout is a pipe that its reader closed before reading anything;
+    its stdout is buffered unless python_flags say -u."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, *python_flags, "-m", "dnamagic.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+
+
+# a buffered stdout meets the closed pipe when it is flushed at the end, an
+# unbuffered one (-u) at the first line, and a long output in the middle
+@pytest.mark.parametrize("python_flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [("keyinfo",), ("magic", "--order", "1024")], ids=" ".join)
+def test_a_closed_stdout_ends_the_command_quietly(workdir, command, python_flags):
+    argv = [*command, "--key", str(workdir / "key.fasta")] if command == ("keyinfo",) else command
+    result = _run_into_a_closed_pipe(argv, *python_flags)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_a_closed_out_file_is_still_a_data_error(workdir, tmp_path):
+    image = tmp_path / "big.pgm"  # its container outgrows a pipe's 64 KiB buffer
+    image.write_bytes(write_pgm(random_image(random.Random(8), 256)))
+    out = tmp_path / "out.dmc"
+    os.mkfifo(out)
+    reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)  # lets the child open it
+    child = subprocess.Popen([sys.executable, "-m", "dnamagic.cli", "encrypt", "--in", str(image),
+                              "--key", str(workdir / "key.fasta"), "--out", str(out),
+                              "--seed", "1"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env=_child_env())
+    try:
+        assert select.select([reader], [], [], 120)[0]  # the child has begun to write
+    finally:
+        os.close(reader)
+    stdout, stderr = child.communicate(timeout=120)
+    assert child.returncode == 2
+    assert stderr.startswith("BrokenPipeError: ") and stderr.count("\n") == 1
+    assert stdout == ""
+
+
 def _at_chunk_edge(text: bytearray, piece: bytes, k: int, rng: random.Random) -> int:
     """Pad text with bases so that piece[k] starts a 7-byte chunk, append piece,
     and return the offset of piece[k]."""
@@ -517,9 +565,10 @@ def test_key_chunk_size_changes_no_output(workdir, edge_key, tmp_path, monkeypat
 
 # ---- running out of memory ----
 
-# An address-space cap on the child alone.  The interpreter runs --help in
-# under 30 MB; encrypt and decrypt of a 2048x2048 image need about 90-110 MB.
-AS_CAP = 48 << 20
+# An address-space cap on the child alone, midway between the two needs: the
+# interpreter runs --help in about 20 MB; encrypt and decrypt of a 2048x2048
+# image need about 44-50 MB.
+AS_CAP = 32 << 20
 SIDE = 2048
 
 

@@ -161,6 +161,28 @@ def test_fnv1a_64_published_vectors():
     assert fnv1a_64(b"foobar") == 0x85944171F73967E8
 
 
+def oracle_fnv1a_64(data: bytes) -> int:
+    """The per-byte loop the library first shipped, kept as the reference."""
+    h = reference.FNV_OFFSET_BASIS
+    for byte in data:
+        h ^= byte
+        h = (h * reference.FNV_PRIME) & ((1 << 64) - 1)
+    return h
+
+
+# lengths around the 4-byte step, and the key window's 65,540 bytes and its neighbours
+FNV_LENGTHS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, MIN_KEY_LENGTH - 1, MIN_KEY_LENGTH, MIN_KEY_LENGTH + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(0, 70_000) | st.sampled_from(FNV_LENGTHS),
+       seed=st.integers(0, 2**32), fill=st.sampled_from([None, 0x00, 0xFF]))
+def test_fnv1a_64_matches_the_frozen_per_byte_loop(length, seed, fill):
+    # runs of 0x00 and 0xff are the two extremes of each byte's XOR
+    data = random.Random(seed).randbytes(length) if fill is None else bytes([fill]) * length
+    assert fnv1a_64(data) == oracle_fnv1a_64(data)
+
+
 def test_fingerprint_deterministic_and_prefix_only():
     rng = random.Random(6)
     prefix = random_bases(rng, MIN_KEY_LENGTH)

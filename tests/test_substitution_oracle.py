@@ -235,3 +235,39 @@ def test_bad_key_position_past_the_first_block_fails_like_the_oracle():
     old = outcome(lambda: oracle_substitute(synthesize(image), key, old_rng))
     assert new == old == ("PointerOutOfRange", first, -1)
     assert new_rng.next64() == old_rng.next64()
+
+
+# one cell short of a stream block, exactly one, one past it, and one past three
+BLOCK_EDGE_CELLS = [4095, 4096, 4097, 3 * 4096 + 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cells", BLOCK_EDGE_CELLS)
+def test_both_directions_match_the_frozen_oracles_at_block_edges(cells, seed):
+    image = random_image(random.Random(cells), cells, 1)
+    key = stub_key({0: (5,), 1: (3, 9), 2: (11, 12, 13)})
+    new_rng, old_rng = RandomStream(seed), RandomStream(seed)
+    grid = substitute(image, key, new_rng)
+    assert grid == oracle_substitute(synthesize(image), key, old_rng)
+    assert new_rng.next64() == old_rng.next64()
+    assert reverse_substitute(grid, key) == resynthesize(oracle_reverse_substitute(grid, key))
+    full = stub_key({})
+    assert reverse_substitute(substitute(image, full, RandomStream(seed)), full) == image
+
+
+@pytest.mark.parametrize("position", [-1, WINDOW_STARTS, 2.0])
+@pytest.mark.parametrize("first", [0, 2048, 4095])
+def test_bad_key_position_in_the_first_of_three_blocks_fails_like_the_oracle(first, position):
+    # the only bad cell is in the first block, so a substitute that stopped
+    # drawing there would end the stream 2 blocks early
+    side = 111  # 12,321 cells: three full 4,096-draw blocks and part of a fourth
+    no_255 = bytes(range(255)) + b"\0"
+    pixels = bytearray(random.Random(first).randbytes(side * side).translate(no_255))
+    pixels[first] = 255
+    image = PlainImage(side, side, bytes(pixels))
+    key = stub_key({255: (position,)})
+    new_rng, old_rng = RandomStream(11), RandomStream(11)
+    new = outcome(lambda: substitute(image, key, new_rng))
+    old = outcome(lambda: oracle_substitute(synthesize(image), key, old_rng))
+    assert new == old == ("PointerOutOfRange", first, position)
+    assert new_rng.next64() == old_rng.next64()
