@@ -13,7 +13,7 @@ from .cipher import encrypt  # noqa: F401
 from .errors import LengthMismatch, ZeroVariance
 from .imageio import PlainImage
 from .reference import ReferenceKey
-from .substitution import RandomStream
+from .substitution import _BLOCK, RandomStream
 
 DIRECTIONS = ("horizontal", "vertical", "diagonal")
 DEFAULT_SAMPLE_PAIRS = 4096
@@ -177,15 +177,18 @@ def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
         if len(set(occurrences[value])) < counts[value]:
             raise ValueError(f"value {value} has a repeated key position")
     n = len(pixels)
-    moduli = [counts[value] for value in pixels]
     total = 0.0
     for _ in range(trials):
         index = rng.randbelow(n)
-        original = RandomStream(rng.next64()).outputs(n)
-        bumped = RandomStream(rng.next64()).outputs(n)
-        changed = sum(map(ne, map(mod, original, moduli), map(mod, bumped, moduli)))
-        z1, z2 = original[index], bumped[index]
-        changed -= z1 % moduli[index] != z2 % moduli[index]  # counted by its pointers
+        streams = RandomStream(rng.next64()), RandomStream(rng.next64())
+        changed = 0
+        for start in range(0, n, _BLOCK):  # drawn a block at a time, as substitute draws
+            moduli = [counts[value] for value in pixels[start:start + _BLOCK]]
+            original, bumped = (stream.outputs(len(moduli)) for stream in streams)
+            changed += sum(map(ne, map(mod, original, moduli), map(mod, bumped, moduli)))
+            if start <= index < start + _BLOCK:  # the bumped cell's block
+                z1, z2, m = original[index - start], bumped[index - start], moduli[index - start]
+        changed -= z1 % m != z2 % m  # counted by its pointers
         changed += _bumped_cell_changes(occurrences, pixels[index], z1, z2)
         total += changed / n
     return total / trials

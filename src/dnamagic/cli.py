@@ -24,9 +24,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-# analyze keeps sample_n pairs per direction in memory and draws two streams of
-# one output per cell for each trial, so both are bounded to keep every run
-# finite and small
+# both keep analyze finite; --sample-n also bounds memory, as adjacent_correlation holds
+# sample_n draws and two sample lists, and --trials time only: trials count 4,096 cells at a time
 MAX_SAMPLE_N = 1 << 20
 MAX_TRIALS = 1000
 
@@ -236,7 +235,7 @@ def _cmd_analyze(args) -> int:
         rows.append(("plain_histogram_chi2", "",
                      analysis.chi_square_uniform(analysis.histogram(plain.pixels))))
         rows.append(("cipher_histogram_chi2", "", analysis.chi_square_uniform(
-            analysis.histogram(analysis.high_bytes(blob.pointers)))))
+            analysis.histogram(blob.pointers.tobytes()[1::2]))))  # each cell's high byte
 
         if key is not None:
             rate = analysis.differential_sensitivity(plain, key, args.trials, RandomStream(seed))

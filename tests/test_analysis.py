@@ -3,6 +3,8 @@
 import os
 import random
 import statistics
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from dnamagic.cipher import encrypt
 from dnamagic.errors import LengthMismatch, ZeroVariance
 from dnamagic.imageio import PlainImage
 from dnamagic.reference import KmerIndex, NucleotideSequence, ReferenceKey
-from dnamagic.substitution import RandomStream
+from dnamagic.substitution import _BLOCK, Cells, RandomStream
 
 
 def gradient_image(n: int = 64) -> PlainImage:
@@ -56,6 +58,14 @@ def test_histogram_rejects_wide_values():
 
 def test_high_bytes_binning_rule():
     assert high_bytes([0x1234, 0x00FF, 0xFF00]) == [0x12, 0x00, 0xFF]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(0, 0xFFFF), max_size=300))
+def test_high_bytes_bin_as_byte_1_of_each_little_endian_cell(values):
+    # analyze bins the container's high bytes from its cells' bytes, not from high_bytes
+    cells = Cells(array("H", [0, 0xFFFF, *values]))
+    assert histogram(cells.tobytes()[1::2]) == histogram(high_bytes(cells))
 
 
 def test_chi_square_zero_for_flat_histogram():
@@ -275,6 +285,26 @@ def test_sensitivity_draws_index_then_original_seed_then_bumped_seed():
         c2 = encrypt(PlainImage(8, 8, bytes(bumped)), key, RandomStream(rng.next64()))
         expected += sum(1 for a, b in zip(c1.pointers, c2.pointers) if a != b) / 64
     assert differential_sensitivity(img, key, 3, RandomStream(2024)) == expected / 3
+
+
+def test_sensitivity_draws_and_holds_a_block_at_a_time(random_key, monkeypatch):
+    # each stream is drawn, and its changes counted, one 4,096-cell block at a
+    # time: 1.2 bytes per cell at 512x512; an n-item moduli list and two n-draw
+    # arrays would hold 34
+    sizes = []
+    outputs = RandomStream.outputs
+    monkeypatch.setattr(RandomStream, "outputs",
+                        lambda self, n: sizes.append(n) or outputs(self, n))
+    img = random_image(random.Random(33), 512)
+    tracemalloc.start()
+    try:
+        differential_sensitivity(img, random_key, 2, RandomStream(33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 512 * 512
+    assert max(sizes) == _BLOCK
+    assert sum(sizes) == 2 * 3 + 2 * 2 * 512 * 512  # randbelow and two seeds, two streams a trial
 
 
 # a hand-built key whose every value has the one position 5 twice

@@ -460,15 +460,15 @@ def test_key_warning_under_w_error_exits_2_without_a_traceback(workdir, lonely_k
     assert "Traceback" not in result.stderr
 
 
-def _run_into_a_closed_pipe(argv, *python_flags) -> subprocess.CompletedProcess:
-    """A CLI child whose stdout is a pipe that its reader closed before reading anything;
-    its stdout is buffered unless python_flags say -u."""
+def _run_into_a_closed_pipe(*python_args) -> subprocess.CompletedProcess:
+    """A Python child whose stdout is a pipe that its reader closed before reading anything;
+    its stdout is buffered unless python_args say -u."""
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     read, write = os.pipe()
     os.close(read)
     try:
-        return subprocess.run([sys.executable, *python_flags, "-m", "dnamagic.cli", *argv],
+        return subprocess.run([sys.executable, *python_args],
                               stdout=write, stderr=subprocess.PIPE, text=True, env=env,
                               timeout=120)
     finally:
@@ -481,8 +481,27 @@ def _run_into_a_closed_pipe(argv, *python_flags) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("command", [("keyinfo",), ("magic", "--order", "1024")], ids=" ".join)
 def test_a_closed_stdout_ends_the_command_quietly(workdir, command, python_flags):
     argv = [*command, "--key", str(workdir / "key.fasta")] if command == ("keyinfo",) else command
-    result = _run_into_a_closed_pipe(argv, *python_flags)
+    result = _run_into_a_closed_pipe(*python_flags, "-m", "dnamagic.cli", *argv)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+# run itself, not main's flush, stops at the line that meets the closed pipe: it points
+# stdout at os.devnull, closes the descriptor it opened for that, and returns 0
+CLOSED_PIPE_RUN = """
+import json, os, sys
+from dnamagic.cli import run
+free = os.open(os.devnull, os.O_RDONLY)  # the lowest free descriptor
+os.close(free)
+code = run(["magic", "--order", "64"])  # about 20 kB, past the 8 KiB stdout buffer
+after = os.open(os.devnull, os.O_RDONLY)
+on_devnull = os.path.samestat(os.fstat(1), os.stat(os.devnull))
+sys.stderr.write(json.dumps([code, after == free, on_devnull]))
+"""
+
+
+def test_run_hands_a_closed_stdout_to_devnull_and_returns_0():
+    result = _run_into_a_closed_pipe("-c", CLOSED_PIPE_RUN)
+    assert (result.returncode, result.stderr) == (0, "[0, true, true]")
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")

@@ -8,8 +8,10 @@ It must return the same float, compared with ==, or fail with the same error
 type and message: for square images of side 4 to 32, constant images and
 images holding pixel 255 (whose bump wraps to 0), 1 to 4 trials and any 64-bit
 seed, under the shared test key, a key with two positions per value and a key
-whose values share positions; and for images that are not square or whose side
-is not a multiple of 4, and trials < 1.
+whose values share positions; for sides 60 to 112 around the 4,096-cell blocks
+the streams are drawn and counted in, with the bumped cell in the first and in
+the last block; and for images that are not square or whose side is not a
+multiple of 4, and trials < 1.
 
 `differential_paired_seed` reads the one draw of the bumped cell.  It must
 return the same count, or fail with the same error type and message, as
@@ -21,6 +23,7 @@ that the bumped cell does not draw is never read, where encrypting raises
 `PointerOutOfRange`.
 """
 
+import itertools
 import random
 
 import pytest
@@ -32,7 +35,7 @@ from dnamagic.cipher import encrypt
 from dnamagic.errors import DimensionError, DnamagicError, PointerOutOfRange
 from dnamagic.imageio import PlainImage
 from dnamagic.reference import KmerIndex, NucleotideSequence, ReferenceKey
-from dnamagic.substitution import RandomStream
+from dnamagic.substitution import _BLOCK, RandomStream
 
 
 def oracle_cells_changed_by_bump(image: PlainImage, key: ReferenceKey, index: int,
@@ -126,6 +129,24 @@ def square_images(draw):
 def test_change_rate_equals_frozen_oracle(random_key, key_name, image, trials, seed):
     key = key_named(random_key, key_name)
     assert isinstance(same_outcome(image, key, trials, seed), float)
+
+
+def seed_bumping_in(n: int, block: int) -> int:
+    """The first seed whose one-trial count bumps a cell of the given block."""
+    return next(seed for seed in itertools.count()
+                if RandomStream(seed).randbelow(n) // _BLOCK == block)
+
+
+# one partial block (so "first" and "last" are the same case), one full block, a full
+# block and a partial one, three full blocks and a partial one
+@pytest.mark.parametrize("side", [60, 64, 68, 112])
+@pytest.mark.parametrize("key_name", ["shared", "overlapping"])
+@pytest.mark.parametrize("bumped_block", ["first", "last"])
+def test_change_rate_equals_frozen_oracle_across_blocks(random_key, side, key_name, bumped_block):
+    n = side * side
+    seed = seed_bumping_in(n, 0 if bumped_block == "first" else (n - 1) // _BLOCK)
+    image = PlainImage(side, side, random.Random(side).randbytes(n))
+    assert isinstance(same_outcome(image, key_named(random_key, key_name), 1, seed), float)
 
 
 @st.composite
