@@ -159,11 +159,11 @@ def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
     (mod 256), re-encrypting original and modified images with independent
     fresh randomness each trial.
 
-    Each trial draws a pixel index, then the seeds of the original's and the
-    bumped image's streams, and counts the changed cells from the two streams'
-    draws without encrypting: the scramble permutes both grids alike, and
-    substitute's draw z picks occurrences[v][z % m(v)], m(v) = len(occurrences[v]) >= 1
-    (a ReferenceKey covers every value).  As one value's positions are distinct, any
+    Each trial draws a pixel index, then the seeds of the original's and the bumped image's
+    streams; one walk over the blocks, each block's moduli serving every trial, counts the
+    changed cells from the streams' draws without encrypting: the scramble permutes both grids
+    alike, and substitute's draw z picks occurrences[v][z % m(v)], m(v) = len(occurrences[v]),
+    at least 1 as a ReferenceKey covers every value.  As one value's positions are distinct, any
     cell but the bumped one changes exactly when its two draws differ modulo m(pixel).
     Raises ValueError, before any draw, for an image value whose key positions repeat.
     """
@@ -177,21 +177,19 @@ def differential_sensitivity(image: PlainImage, key: ReferenceKey, trials: int,
         if len(set(occurrences[value])) < counts[value]:
             raise ValueError(f"value {value} has a repeated key position")
     n = len(pixels)
-    total = 0.0
-    for _ in range(trials):
-        index = rng.randbelow(n)
-        streams = RandomStream(rng.next64()), RandomStream(rng.next64())
-        changed = 0
-        for start in range(0, n, _BLOCK):  # drawn a block at a time, as substitute draws
-            moduli = [counts[value] for value in pixels[start:start + _BLOCK]]
+    drawn = [(rng.randbelow(n), RandomStream(rng.next64()), RandomStream(rng.next64()))
+             for _ in range(trials)]
+    changed = [0] * trials
+    for start in range(0, n, _BLOCK):  # drawn a block at a time, as substitute draws
+        moduli = [counts[value] for value in pixels[start:start + _BLOCK]]
+        for trial, (index, *streams) in enumerate(drawn):
             original, bumped = (stream.outputs(len(moduli)) for stream in streams)
-            changed += sum(map(ne, map(mod, original, moduli), map(mod, bumped, moduli)))
-            if start <= index < start + _BLOCK:  # the bumped cell's block
+            changed[trial] += sum(map(ne, map(mod, original, moduli), map(mod, bumped, moduli)))
+            if start <= index < start + _BLOCK:  # the bumped cell, counted by its pointers
                 z1, z2, m = original[index - start], bumped[index - start], moduli[index - start]
-        changed -= z1 % m != z2 % m  # counted by its pointers
-        changed += _bumped_cell_changes(occurrences, pixels[index], z1, z2)
-        total += changed / n
-    return total / trials
+                changed[trial] += (_bumped_cell_changes(occurrences, pixels[index], z1, z2)
+                                   - (z1 % m != z2 % m))
+    return sum(count / n for count in changed) / trials
 
 
 def differential_paired_seed(image: PlainImage, key: ReferenceKey, seed: int,

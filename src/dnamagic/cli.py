@@ -24,8 +24,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-# both keep analyze finite; --sample-n also bounds memory, as adjacent_correlation holds
-# sample_n draws and two sample lists, and --trials time only: trials count 4,096 cells at a time
+# both keep analyze finite and bound its memory: adjacent_correlation holds sample_n draws and
+# two sample lists, the differential count two streams and a count per trial, about 0.4 KB
 MAX_SAMPLE_N = 1 << 20
 MAX_TRIALS = 1000
 

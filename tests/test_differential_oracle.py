@@ -10,8 +10,8 @@ images holding pixel 255 (whose bump wraps to 0), 1 to 4 trials and any 64-bit
 seed, under the shared test key, a key with two positions per value and a key
 whose values share positions; for sides 60 to 112 around the 4,096-cell blocks
 the streams are drawn and counted in, with the bumped cell in the first and in
-the last block; and for images that are not square or whose side is not a
-multiple of 4, and trials < 1.
+the last block, and for three trials whose bumped cells lie in both; and for
+images that are not square or whose side is not a multiple of 4, and trials < 1.
 
 `differential_paired_seed` reads the one draw of the bumped cell.  It must
 return the same count, or fail with the same error type and message, as
@@ -131,22 +131,32 @@ def test_change_rate_equals_frozen_oracle(random_key, key_name, image, trials, s
     assert isinstance(same_outcome(image, key, trials, seed), float)
 
 
-def seed_bumping_in(n: int, block: int) -> int:
-    """The first seed whose one-trial count bumps a cell of the given block."""
-    return next(seed for seed in itertools.count()
-                if RandomStream(seed).randbelow(n) // _BLOCK == block)
+def seed_bumping_in(n: int, trials: int, block: int) -> int:
+    """The first seed whose first trial bumps a cell of the given block and whose trials, if
+    more than one, bump cells in at least two blocks, the first and the last among them.
+
+    Trial t's index is output 3t of the stream, as each trial draws an index and two seeds."""
+    last = (n - 1) // _BLOCK
+    for seed in itertools.count():
+        blocks = [z % n // _BLOCK for z in RandomStream(seed).outputs(3 * trials)[::3]]
+        if blocks[0] == block and (trials == 1 or {0, last} <= set(blocks)):
+            return seed
 
 
 # one partial block (so "first" and "last" are the same case), one full block, a full
-# block and a partial one, three full blocks and a partial one
-@pytest.mark.parametrize("side", [60, 64, 68, 112])
+# block and a partial one, three full blocks and a partial one; three trials where the
+# first and the last block differ
+@pytest.mark.parametrize("side, trials", [pytest.param(side, 1, id=str(side))
+                                           for side in (60, 64, 68, 112)]
+                         + [(68, 3), (112, 3)])
 @pytest.mark.parametrize("key_name", ["shared", "overlapping"])
 @pytest.mark.parametrize("bumped_block", ["first", "last"])
-def test_change_rate_equals_frozen_oracle_across_blocks(random_key, side, key_name, bumped_block):
+def test_change_rate_equals_frozen_oracle_across_blocks(random_key, side, trials, key_name,
+                                                        bumped_block):
     n = side * side
-    seed = seed_bumping_in(n, 0 if bumped_block == "first" else (n - 1) // _BLOCK)
+    seed = seed_bumping_in(n, trials, 0 if bumped_block == "first" else (n - 1) // _BLOCK)
     image = PlainImage(side, side, random.Random(side).randbytes(n))
-    assert isinstance(same_outcome(image, key_named(random_key, key_name), 1, seed), float)
+    assert isinstance(same_outcome(image, key_named(random_key, key_name), trials, seed), float)
 
 
 @st.composite
