@@ -9,6 +9,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import PointerOutOfRange
 from .imageio import PlainImage
@@ -226,6 +227,8 @@ def reverse_substitute(grid: PointerGrid, key: ReferenceKey) -> PlainImage:
     """Read back the pixel whose word each pointer names; inverts substitute for any randomness."""
     table = key.decode_table
     cells = grid.pointers.buffer
-    pixels = b"".join(bytes([table[p] for p in cells[start:start + _BLOCK]])
-                      for start in range(0, len(cells), _BLOCK))
+    # itemgetter gathers a step in C; the leading index 0, whose byte is
+    # dropped, keeps a one-cell step a tuple and not a bare int
+    pixels = b"".join(bytes(itemgetter(0, *cells[start:start + _BLOCK // 2])(table))[1:]
+                      for start in range(0, len(cells), _BLOCK // 2))
     return PlainImage(grid.width, grid.height, pixels)

@@ -81,15 +81,17 @@ def test_decrypt_validates_dimensions(random_key):
 
 
 def test_decrypt_holds_a_few_bytes_per_cell(random_key):
-    # the cells (2 bytes each), the pixels gathered and joined a block at a
+    # the cells (2 bytes each), the pixels gathered and joined a step at a
     # time (2), and the 65,536-byte decode table, built on first use (1 at
     # 256x256), peak at 6.3 bytes per cell; an n-item list in the gather
-    # would add 8 more
+    # would add 8 more.  A fresh key, so the table is built inside the traced
+    # call whichever tests ran before and cached it on the shared key.
     img = random_image(random.Random(16), 256)
     blob = serialize(encrypt(img, random_key, RandomStream(16)))
+    key = build_key(random_key.sequence)
     tracemalloc.start()
     try:
-        plain = decrypt(deserialize(blob), random_key)
+        plain = decrypt(deserialize(blob), key)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

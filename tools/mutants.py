@@ -4,12 +4,13 @@ Each statement inside a function body of the chosen modules (bare string
 statements such as docstrings, and `pass` itself, excepted) is replaced by
 `pass`, one at a time, in a temporary copy of the tree, and the tests are run
 there against that copy's `src` (TEST_COMMAND; this tool's own test is left
-out, as it would start the sampler again inside every mutant's run).  A mutant
-whose run fails is killed; one whose run passes survived, so no test notices
-that statement.  A run that outlasts TIMEOUT_FACTOR times the unmutated run,
-which is timed first, is stopped with its whole process group and reported as
-a timeout: deleting a step can keep a loop from ending.  Statements in
-KNOWN_EQUIVALENTS are skipped.
+out, as it would start the sampler again inside every mutant's run, and so is
+the pairs tool's, which touches no library code and starts benchmark runs of
+its own).  A mutant whose run fails is killed; one whose run passes survived,
+so no test notices that statement.  A run that outlasts TIMEOUT_FACTOR times
+the unmutated run, which is timed first, is stopped with its whole process
+group and reported as a timeout: deleting a step can keep a loop from ending.
+Statements in KNOWN_EQUIVALENTS are skipped.
 
     python tools/mutants.py                         # every module of src/dnamagic
     python tools/mutants.py src/dnamagic/dna.py --report dna.json
@@ -34,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TEST_COMMAND = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                "--ignore=tests/test_mutants_tool.py", "tests"]
+                "--ignore=tests/test_mutants_tool.py", "--ignore=tests/test_pairs_tool.py", "tests"]
 TIMEOUT_FACTOR = 3  # a mutant's run may take this many times the unmutated run
 
 # (module, enclosing function, first line of the statement): reason it survives
